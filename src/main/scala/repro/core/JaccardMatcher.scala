@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Closest-description annotation via string-similarity matching (§II-B).
@@ -22,9 +21,9 @@ import org.apache.spark.sql.functions._
   *   score desc → raw-provision bonus desc → best matched-term priority asc
   *   → NDB index asc (first match in database order).
   *
-  * Dataflow: both sides are exploded to (id, token) rows and joined on the
-  * token — an inverted-index join — so cost is proportional to the number of
-  * shared-token pairs, never |ingredients| × |foods|.
+  * Dataflow: scoring and ranking are [[ReferenceIndex]] methods applied per
+  * ingredient key through UDFs, so cost is proportional to the posting lists
+  * of each key's tokens, never |ingredients| × |foods|.
   */
 object JaccardMatcher {
 
@@ -32,13 +31,8 @@ object JaccardMatcher {
   case object Modified extends Metric
   case object Vanilla  extends Metric
 
-  private val prepIngredientUdf = udf { (name: String, state: String, temp: String, df: String) =>
-    TextPrep.prepIngredient(name, state, temp, df).toSeq
-  }
-  private val prepDescriptionUdf = udf { (desc: String) =>
-    TextPrep.prepDescription(desc).map(pt => (pt.token, pt.priority))
-  }
-  private val hasRawUdf = udf { (desc: String) => TextPrep.descriptionHasRaw(desc) }
+  /** The ingredient key columns that make up set A. */
+  val KeyColumns: Seq[String] = Seq("name", "state", "temp", "df")
 
   /** Score every (ingredient, candidate description) pair that shares at
     * least one token, under both metrics.
@@ -49,38 +43,13 @@ object JaccardMatcher {
     *         jstar, jvanilla
     */
   def scoreCandidates(ingredients: DataFrame, reference: DataFrame): DataFrame = {
-    val a = ingredients
-      .withColumn("aTokens", prepIngredientUdf(col("name"), col("state"), col("temp"), col("df")))
-      .withColumn("aSize", size(col("aTokens")))
-      .withColumn("noState", col("state").isNull || col("state") === "")
-      .select("ingId", "aTokens", "aSize", "noState")
-
-    val b = reference
-      .withColumn("bTokens", prepDescriptionUdf(col("description")))
-      .withColumn("bSize", size(col("bTokens")))
-      .withColumn("hasRaw", hasRawUdf(col("description")))
-      .select("ndbId", "bTokens", "bSize", "hasRaw")
-
-    val aTok = a.select(col("ingId"), explode(col("aTokens")).as("token"))
-    val bTok = b.select(col("ndbId"), col("bSize"), col("hasRaw"),
-                        explode(col("bTokens")).as("tp"))
-      .select(col("ndbId"), col("bSize"), col("hasRaw"),
-              col("tp._1").as("token"), col("tp._2").as("priority"))
-
-    aTok.join(bTok, "token")
-      .groupBy(col("ingId"), col("ndbId"))
-      .agg(
-        count(lit(1)).as("inter"),
-        min(col("priority")).as("bestPriority"),
-        first(col("bSize")).as("bSize"),
-        first(col("hasRaw")).as("hasRaw"),
-      )
-      .join(a.select("ingId", "aSize", "noState"), "ingId")
-      .withColumn("rawBonus",
-        when(col("hasRaw") && col("noState"), lit(1)).otherwise(lit(0)))
-      .withColumn("jstar", col("inter") / col("aSize"))
-      .withColumn("jvanilla", col("inter") / (col("aSize") + col("bSize") - col("inter")))
-      .drop("hasRaw", "noState")
+    val index = ReferenceIndex.collect(Some(reference), None)
+    val candidatesUdf = udf { (name: String, state: String, temp: String, df: String) =>
+      index.candidates(name, state, temp, df).map(c => (c, c.jstar, c.jvanilla))
+    }
+    ingredients
+      .select(col("ingId"), explode(candidatesUdf(KeyColumns.map(col): _*)).as("c"))
+      .select(col("ingId"), col("c._1.*"), col("c._2").as("jstar"), col("c._3").as("jvanilla"))
   }
 
   /** Best match per ingredient under the chosen metric. Ingredients sharing
@@ -89,24 +58,30 @@ object JaccardMatcher {
     *
     * @return ingId, ndbId, score, inter, aSize, bestPriority
     */
-  def matchBest(ingredients: DataFrame, reference: DataFrame, metric: Metric = Modified): DataFrame = {
-    val scored   = scoreCandidates(ingredients, reference)
-    val scoreCol = metric match {
-      case Modified => col("jstar")
-      case Vanilla  => col("jvanilla")
+  def matchBest(ingredients: DataFrame, reference: DataFrame, metric: Metric = Modified): DataFrame =
+    matchBest(ingredients, ReferenceIndex.collect(Some(reference), None), metric, Seq("ingId"))
+
+  /** [[matchBest]] against a built index, with `passThrough` columns in place of ingId. */
+  def matchBest(ingredients: DataFrame, index: ReferenceIndex, metric: Metric,
+                passThrough: Seq[String]): DataFrame = {
+    val bestUdf = udf { (name: String, state: String, temp: String, df: String) =>
+      index.best(name, state, temp, df, metric).toSeq
+        .map(c => Best(c.ndbId, c.score(metric), c.inter, c.aSize, c.bestPriority))
     }
-    val w = Window.partitionBy(col("ingId")).orderBy(
-      scoreCol.desc, col("rawBonus").desc, col("bestPriority").asc, col("ndbId").asc)
-    scored
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") === 1)
-      .select(col("ingId"), col("ndbId"), scoreCol.as("score"),
-              col("inter"), col("aSize"), col("bestPriority"))
+    ingredients
+      .select(passThrough.map(col) :+ explode(bestUdf(KeyColumns.map(col): _*)).as("m"): _*)
+      .select(passThrough.map(col) :+ col("m.*"): _*)
   }
 
-  /** Convenience: best match joined with the matched description text. */
+  /** One row of [[matchBest]]'s result, after the pass-through columns. */
+  final case class Best(ndbId: Long, score: Double, inter: Long, aSize: Int, bestPriority: Int)
+
+  /** Convenience: best match with the matched description text. */
   def matchBestWithDescription(ingredients: DataFrame, reference: DataFrame,
-                               metric: Metric = Modified): DataFrame =
-    matchBest(ingredients, reference, metric)
-      .join(reference.select(col("ndbId"), col("description")), "ndbId")
+                               metric: Metric = Modified): DataFrame = {
+    val index = ReferenceIndex.collect(Some(reference), None)
+    val descriptionUdf = udf { (ndbId: Long) => index.foods(ndbId).description }
+    matchBest(ingredients, index, metric, Seq("ingId"))
+      .withColumn("description", descriptionUdf(col("ndbId")))
+  }
 }

@@ -62,9 +62,9 @@ object NerPipeline {
               firstOf("TEMP"), firstOf("DF"), firstOf("SIZE"))
   }
 
-  /** Tag + extract a raw phrase with the model. */
+  /** Tag + extract a raw phrase with the model; null gives the empty extraction. */
   def extractPhrase(model: NerModel, phrase: String): Extracted = {
-    val tokens = tokenize(phrase)
+    val tokens = if (phrase == null) IndexedSeq.empty else tokenize(phrase)
     if (tokens.isEmpty) Extracted("", "", "", "", "", "", "")
     else extract(tokens, model.tag(tokens))
   }

@@ -12,8 +12,10 @@ import repro.nlp.NerModel
   *
   * Matching runs on distinct (name, state, temp, df) tuples — the paper's
   * unit of account ("94.49% of the unique ingredients") — and the result is
-  * joined back onto the full corpus, so the expensive token join scales with
-  * vocabulary, not corpus size.
+  * joined back onto the full corpus on those four columns, so matching
+  * scales with vocabulary, not corpus size. Both matching and unit lookup
+  * read one [[ReferenceIndex]] built on the driver from `foods` and
+  * `weights`.
   */
 object NutritionEstimator {
 
@@ -28,22 +30,15 @@ object NutritionEstimator {
     */
   def perLine(lines: DataFrame, model: NerModel,
               foods: DataFrame, weights: DataFrame): DataFrame = {
+    val index     = ReferenceIndex.collect(Some(foods), Some(weights))
     val annotated = NerPipeline.annotate(model, lines).cache()
-
-    val uniqueIngredients = annotated
-      .select("name", "state", "temp", "df")
-      .distinct()
-      .withColumn("ingId", xxhash64(col("name"), col("state"), col("temp"), col("df")))
+    val keys      = JaccardMatcher.KeyColumns
 
     val matched = JaccardMatcher
-      .matchBest(uniqueIngredients, foods.select("ndbId", "description"), JaccardMatcher.Modified)
-      .select(col("ingId"), col("ndbId"), col("score"))
+      .matchBest(annotated.select(keys.map(col): _*).distinct(), index, JaccardMatcher.Modified, keys)
+      .select((keys :+ "ndbId" :+ "score").map(col): _*)
 
-    val withFood = annotated
-      .withColumn("ingId", xxhash64(col("name"), col("state"), col("temp"), col("df")))
-      .join(matched, Seq("ingId"), "left")
-
-    val resolved = UnitMatcher.resolve(withFood, weights)
+    val resolved = UnitMatcher.resolve(annotated.join(matched, keys, "left"), index)
 
     resolved
       .join(foods.select(col("ndbId"), col("description"), col("kcal100g"),
@@ -60,8 +55,8 @@ object NutritionEstimator {
   /** Per-recipe nutritional profile plus mapping statistics.
     *
     * @return recipeId, servings, nLines, nNameMapped, nFullyMapped,
-    *         pctNameMapped, pctFullyMapped, estKcal, estKcalPerServing (and
-    *         protein/fat/carb totals)
+    *         pctNameMapped, pctFullyMapped, estKcal, estKcalPerServing (null
+    *         unless servings > 0), and protein/fat/carb totals
     */
   def perRecipe(perLineDf: DataFrame): DataFrame =
     perLineDf
@@ -77,7 +72,7 @@ object NutritionEstimator {
       )
       .withColumn("pctNameMapped",  col("nNameMapped") * 100.0 / col("nLines"))
       .withColumn("pctFullyMapped", col("nFullyMapped") * 100.0 / col("nLines"))
-      .withColumn("estKcalPerServing", col("estKcal") / col("servings"))
+      .withColumn("estKcalPerServing", when(col("servings") > 0, col("estKcal") / col("servings")))
 
   /** Full pipeline: lines in, per-recipe profiles out. */
   def estimate(lines: DataFrame, model: NerModel,

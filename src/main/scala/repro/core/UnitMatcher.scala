@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Units matching and gram resolution (§II-C).
@@ -32,64 +31,6 @@ object UnitMatcher {
 
   private val qtyUdf = udf { (q: String) => QuantityParser.parse(q) }
   private val stdUdf = udf { (u: String) => UnitTables.standardize(u) }
-  private val massUdf = udf { (u: String) => Option(u).flatMap(UnitTables.massGrams.get) }
-  private val volRatioUdf = udf { (target: String, known: String) =>
-    for {
-      tu <- Option(target); ku <- Option(known)
-      t  <- UnitTables.volumeMl.get(tu); k <- UnitTables.volumeMl.get(ku)
-    } yield t / k
-  }
-
-  /** USDA weights with standardized units: one row per (ndbId, stdUnit),
-    * keeping the lowest-seq row (USDA lists dominant measures first).
-    */
-  def standardizedWeights(weights: DataFrame): DataFrame = {
-    val w = Window.partitionBy(col("ndbId"), col("stdUnit")).orderBy(col("seq").asc)
-    weights
-      .withColumn("stdUnit", stdUdf(col("unit")))
-      .filter(col("stdUnit") =!= "")
-      .withColumn("gpa", col("grams") / col("amount"))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select("ndbId", "stdUnit", "gpa", "seq")
-  }
-
-  /** First volumetric measure each food lists, for step 4 conversions. */
-  def firstVolumetric(weightsStd: DataFrame): DataFrame = {
-    val isVolUdf = udf { (u: String) => UnitTables.isVolumetric(u) }
-    val w = Window.partitionBy(col("ndbId")).orderBy(col("seq").asc)
-    weightsStd
-      .filter(isVolUdf(col("stdUnit")))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select(col("ndbId"), col("stdUnit").as("volUnit"), col("gpa").as("volGpa"))
-  }
-
-  /** Resolve grams-per-unit for `unitCol` into `outCol` via mass lookup,
-    * USDA weight lookup, then volumetric conversion.
-    */
-  private def lookupGpa(lines: DataFrame, weightsStd: DataFrame, firstVol: DataFrame,
-                        unitCol: String, outCol: String): DataFrame = {
-    val sfx = outCol
-    val wRenamed = weightsStd
-      .select(col("ndbId").as(s"wNdb_$sfx"), col("stdUnit").as(s"wUnit_$sfx"),
-              col("gpa").as(s"wGpa_$sfx"))
-    val vRenamed = firstVol
-      .select(col("ndbId").as(s"vNdb_$sfx"), col("volUnit").as(s"vUnit_$sfx"),
-              col("volGpa").as(s"vGpa_$sfx"))
-    lines
-      .join(wRenamed,
-        col("ndbId") === col(s"wNdb_$sfx") && col(unitCol) === col(s"wUnit_$sfx"), "left")
-      .join(vRenamed, col("ndbId") === col(s"vNdb_$sfx"), "left")
-      .withColumn(outCol,
-        coalesce(
-          massUdf(col(unitCol)),
-          col(s"wGpa_$sfx"),
-          col(s"vGpa_$sfx") * volRatioUdf(col(unitCol), col(s"vUnit_$sfx")),
-        ))
-      .drop(s"wNdb_$sfx", s"wUnit_$sfx", s"wGpa_$sfx",
-            s"vNdb_$sfx", s"vUnit_$sfx", s"vGpa_$sfx")
-  }
 
   /** Full §II-C resolution.
     *
@@ -100,9 +41,14 @@ object UnitMatcher {
     * @return input plus qty, stdUnit, resolvedUnit, gramsPerUnit, grams,
     *         unitResolved
     */
-  def resolve(lines: DataFrame, weights: DataFrame): DataFrame = {
-    val weightsStd = standardizedWeights(weights)
-    val firstVol   = firstVolumetric(weightsStd)
+  def resolve(lines: DataFrame, weights: DataFrame): DataFrame =
+    resolve(lines, ReferenceIndex.collect(None, Some(weights)))
+
+  /** [[resolve]] against a built index. */
+  def resolve(lines: DataFrame, index: ReferenceIndex): DataFrame = {
+    val gpaUdf = udf { (ndbId: java.lang.Long, stdUnit: String) =>
+      index.gramsPer(Option(ndbId).map(_.longValue), stdUnit)
+    }
 
     val prepared = lines
       .withColumn("qty", coalesce(qtyUdf(col("quantity")), lit(1.0)))
@@ -112,26 +58,25 @@ object UnitMatcher {
           .otherwise(lit("")))
 
     // Pass 1: resolve the detected unit; invalidate implausible results.
-    val p1 = lookupGpa(prepared, weightsStd, firstVol, "stdUnit", "gpa1")
+    val p1 = prepared
+      .withColumn("gpa1", gpaUdf(col("ndbId"), col("stdUnit")))
       .withColumn("gpa1",
         when(col("qty") * col("gpa1") > MaxGramsPerLine, lit(null)).otherwise(col("gpa1")))
 
-    // Most-frequent successfully-resolved unit per ingredient name.
-    val modeW = Window.partitionBy(col("name")).orderBy(col("cnt").desc, col("stdUnit").asc)
+    // Most-frequent successfully-resolved unit per name (ties: first A–Z).
     val modes = p1
       .filter(col("gpa1").isNotNull && col("stdUnit") =!= "")
       .groupBy(col("name"), col("stdUnit")).agg(count(lit(1)).as("cnt"))
-      .withColumn("rk", row_number().over(modeW))
-      .filter(col("rk") === 1)
-      .select(col("name"), col("stdUnit").as("modeUnit"))
+      .groupBy(col("name"))
+      .agg(min(struct((-col("cnt")).as("negCnt"), col("stdUnit"))).getField("stdUnit").as("modeUnit"))
 
     // Pass 2: unresolved lines retry with the fallback unit.
     val p2 = p1
       .join(modes, Seq("name"), "left")
       .withColumn("fbUnit", when(col("gpa1").isNull, col("modeUnit")).otherwise(lit(null)))
-    val p3 = lookupGpa(p2, weightsStd, firstVol, "fbUnit", "gpa2")
+      .withColumn("gpa2", gpaUdf(col("ndbId"), col("fbUnit")))
 
-    p3
+    p2
       .withColumn("gramsPerUnit", coalesce(col("gpa1"), col("gpa2")))
       .withColumn("resolvedUnit",
         when(col("gpa1").isNotNull, col("stdUnit"))

@@ -15,7 +15,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *    noisy unit string 'pat (1" sq, 1/3" high)');
   *  - a **deterministic combinatorial expansion** (base food × preparation
   *    form × detail qualifier) that recreates USDA-SR's collision density —
-  *    many near-identical descriptions per head noun — at ~1.3k foods
+  *    many near-identical descriptions per head noun — at 1,050 foods
   *    (real SR: ~8.8k; scale substitution documented in DESIGN.md).
   *
   * Every food also carries *ingredient aliases*: the noisy names recipe

@@ -83,19 +83,11 @@ object Experiments {
     */
   def table3(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    val ings = TableIIIRows.zipWithIndex.map { case ((n, s, _, _), i) =>
-      (i.toLong, n, s, "", "")
-    }.toDF("ingId", "name", "state", "temp", "df")
-    val ref = UsdaData.foods(spark).select("ndbId", "description")
-    def bestDescs(metric: JaccardMatcher.Metric) =
-      JaccardMatcher.matchBestWithDescription(ings, ref, metric)
-        .select("ingId", "description").collect()
-        .map(r => r.getLong(0) -> r.getString(1)).toMap
-    val mod = bestDescs(JaccardMatcher.Modified)
-    val van = bestDescs(JaccardMatcher.Vanilla)
-    TableIIIRows.zipWithIndex.map { case ((n, s, paperMod, paperVan), i) =>
-      (n, s, mod.getOrElse(i.toLong, "(unmapped)"), paperMod,
-       van.getOrElse(i.toLong, "(unmapped)"), paperVan)
+    val index = ReferenceIndex.collect(Some(UsdaData.foods(spark)), None)
+    def best(name: String, state: String, metric: JaccardMatcher.Metric): String =
+      index.best(name, state, "", "", metric).fold("(unmapped)")(c => index.foods(c.ndbId).description)
+    TableIIIRows.map { case (n, s, paperMod, paperVan) =>
+      (n, s, best(n, s, JaccardMatcher.Modified), paperMod, best(n, s, JaccardMatcher.Vanilla), paperVan)
     }.toDF("name", "state", "modifiedJI", "paperModifiedJI", "vanillaJI", "paperVanillaJI")
   }
 
@@ -173,18 +165,13 @@ object Experiments {
 
     // --- modified vs vanilla divergence (paper: 227 / 1000) ---------------
     val sample = unique
-      .withColumn("ingId", xxhash64($"name", $"state", $"temp", $"df"))
       .orderBy(xxhash64($"name", $"state", $"temp", $"df", lit(seed)))
-      .limit(1000).cache()
-    val ref = foods.select("ndbId", "description")
-    val modMatch = JaccardMatcher.matchBest(sample, ref, JaccardMatcher.Modified)
-      .select($"ingId", $"ndbId".as("modNdb"))
-    val vanMatch = JaccardMatcher.matchBest(sample, ref, JaccardMatcher.Vanilla)
-      .select($"ingId", $"ndbId".as("vanNdb"))
-    val joinedMatches = modMatch.join(vanMatch, Seq("ingId"), "outer").cache()
-    val divergent = joinedMatches.filter(
-      coalesce($"modNdb", lit(-999L)) =!= coalesce($"vanNdb", lit(-999L))).count()
-    val sampleSize = sample.count()
+      .limit(1000).as[(String, String, String, String)].collect()
+    val index = ReferenceIndex.collect(Some(foods), None)
+    def best(k: (String, String, String, String), metric: JaccardMatcher.Metric): Option[Long] =
+      index.best(k._1, k._2, k._3, k._4, metric).map(_.ndbId)
+    val divergent  = sample.count(k => best(k, JaccardMatcher.Modified) != best(k, JaccardMatcher.Vanilla)).toLong
+    val sampleSize = sample.length.toLong
 
     // --- match accuracy on the most frequent ingredients (paper: 71.6%) ---
     val truthJoined = perLine

@@ -132,4 +132,25 @@ class NutritionEstimatorSpec extends SparkSpec {
     val beef = out.filter($"lineNo" === 1).collect().head
     assert(Option(beef.getAs[String]("name")).exists(_.contains("beef")))
   }
+
+  test("per-serving kcal is null when servings is null or not positive") {
+    val lines = Seq[(Long, java.lang.Integer)]((1L, 4), (2L, 0), (3L, -3), (4L, null))
+      .toDF("recipeId", "servings")
+      .withColumn("nameMapped", lit(true)).withColumn("fullyMapped", lit(true))
+      .withColumn("estKcal", lit(100.0)).withColumn("estProtein", lit(1.0))
+      .withColumn("estFat", lit(1.0)).withColumn("estCarb", lit(1.0))
+    val perServing = NutritionEstimator.perRecipe(lines).select("recipeId", "estKcalPerServing")
+      .collect().map(r => r.getLong(0) -> Option(r.get(1))).toMap
+    assert(perServing == Map(1L -> Some(25.0), 2L -> None, 3L -> None, 4L -> None))
+  }
+
+  test("a null phrase comes out once, unmapped") {
+    assert(NerPipeline.extractPhrase(TestModels.ner, null) ==
+      NerPipeline.Extracted("", "", "", "", "", "", ""))
+    val lines = Seq[(Long, Int, String, Int)]((1L, 1, "1 cup butter", 2), (1L, 2, null, 2))
+      .toDF("recipeId", "lineNo", "phrase", "servings")
+    val out = NutritionEstimator.perLine(lines, TestModels.ner, foods, weights)
+      .select("lineNo", "nameMapped").as[(Int, Boolean)].collect().sorted
+    assert(out.toSeq == Seq(1 -> true, 2 -> false))
+  }
 }

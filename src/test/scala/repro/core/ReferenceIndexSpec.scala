@@ -1,0 +1,105 @@
+package repro.core
+
+import scala.util.hashing.MurmurHash3
+
+import org.apache.spark.sql.Row
+
+import repro.{SparkSpec, TestModels}
+import repro.core.JaccardMatcher.{Metric, Modified, Vanilla}
+import repro.data.{RecipeData, UsdaData}
+import repro.data.UsdaData.UsdaWeight
+
+/** The in-memory reference index: its weight tables, a brute-force check of
+  * its matching, and the per-line output it produces end to end.
+  */
+class ReferenceIndexSpec extends SparkSpec {
+
+  import spark.implicits._
+
+  private lazy val foods = UsdaData.allFoods.map(f => f.ndbId -> f.description)
+  private lazy val index = ReferenceIndex(foods, UsdaData.allWeights)
+
+  /** Per-line output at SF 0.01 with the shared test model. */
+  private lazy val perLine: Array[Row] =
+    NutritionEstimator.perLine(
+      RecipeData.ingredientLines(spark, sf = 0.01).select("recipeId", "lineNo", "phrase", "servings"),
+      TestModels.ner, UsdaData.foods(spark), UsdaData.weights(spark))
+      .select("recipeId", "lineNo", "ndbId", "resolvedUnit", "grams", "name", "state", "temp", "df")
+      .collect()
+
+  // ---- §II-C weight tables ------------------------------------------------
+
+  test("gramsPerUnit keeps each (food, unit)'s lowest seq") {
+    // Onion lists small, medium and large: all three are "size", and the
+    // first listed wins. A later butter row for an already-listed unit loses.
+    assert(index.gramsPerUnit((39L, "size")) == 70.0)
+    val extra = ReferenceIndex(Nil, UsdaData.allWeights :+ UsdaWeight(1, 9, 1.0, "tablespoon", 99.0))
+    assert(extra.gramsPerUnit((1L, "tablespoon")) == 14.2)
+    // One entry per distinct (food, standardized unit) of the weight table.
+    val pairs = UsdaData.allWeights.map(w => (w.ndbId, UnitTables.standardize(w.unit))).filter(_._2.nonEmpty)
+    assert(index.gramsPerUnit.keySet == pairs.toSet)
+  }
+
+  test("butter's first volumetric unit is tablespoon") {
+    // Butter lists pat (seq 1), tbsp (seq 2), then cup: pat is not volumetric.
+    assert(index.firstVolumetric(1L) == ("tablespoon", 14.2))
+    assert(index.firstVolumetric(39L) == ("cup", 160.0))
+  }
+
+  // ---- §II-B matching against a brute-force scan ---------------------------
+
+  private lazy val described = UsdaData.allFoods.map { f =>
+    (f.ndbId, TextPrep.prepDescription(f.description), TextPrep.descriptionHasRaw(f.description))
+  }
+
+  /** Score every food and sort by the four tie-break keys. */
+  private def scanBest(name: String, state: String, temp: String, df: String, metric: Metric): Option[Long] = {
+    val a       = TextPrep.prepIngredient(name, state, temp, df)
+    val noState = state == null || state.isEmpty
+    val scored = described.flatMap { case (id, b, raw) =>
+      val shared = b.filter(pt => a.contains(pt.token))
+      val inter  = shared.size.toDouble
+      val score  = metric match {
+        case Modified => inter / a.size
+        case Vanilla  => inter / (a.size + b.size - inter)
+      }
+      if (shared.isEmpty) None
+      else Some((-score, if (raw && noState) -1 else 0, shared.map(_.priority).min, id))
+    }
+    scored.sorted(Ordering.Tuple4(Ordering.Double.TotalOrdering, Ordering.Int, Ordering.Int, Ordering.Long))
+      .headOption.map(_._4)
+  }
+
+  test("matchBest equals a brute-force scan of all foods") {
+    val corpusKeys = perLine.map(r => (r.getString(5), r.getString(6), r.getString(7), r.getString(8))).distinct
+    val foodNames = UsdaData.allFoods.flatMap { f =>
+      val ws = f.description.toLowerCase.split("[^a-z]+").filter(_.nonEmpty).toSeq
+      (1 to 3).flatMap(n => ws.sliding(n)).map(n => (n.mkString(" "), "", "", ""))
+    }.distinct
+    val keys = (corpusKeys ++ foodNames).distinct.zipWithIndex.map { case ((n, s, t, d), i) => (i.toLong, n, s, t, d) }
+    assert(corpusKeys.length > 100 && foodNames.length > 1000)
+    val ingredients = keys.toSeq.toDF("ingId", "name", "state", "temp", "df")
+    val reference   = UsdaData.foods(spark).select("ndbId", "description")
+    for (metric <- Seq(Modified, Vanilla)) {
+      val got = JaccardMatcher.matchBest(ingredients, reference, metric)
+        .select("ingId", "ndbId").as[(Long, Long)].collect().toMap
+      val want = keys.flatMap { case (i, n, s, t, d) => scanBest(n, s, t, d, metric).map(i -> _) }.toMap
+      val diff = want.keySet.union(got.keySet).filter(k => want.get(k) != got.get(k))
+      assert(diff.isEmpty, s"$metric: ${diff.size} keys differ, e.g. ${diff.take(3).map(k => keys(k.toInt))}")
+    }
+  }
+
+  // ---- end to end ----------------------------------------------------------
+
+  test("per-line output at SF 0.01 is unchanged") {
+    // Order-independent digest of (recipeId, lineNo, ndbId, resolvedUnit,
+    // grams), recorded with the token-join matcher and join-based unit
+    // resolution this index replaced.
+    val digest = perLine.iterator.map { r =>
+      val grams = Option(r.get(4)).map(g => java.lang.Double.doubleToLongBits(g.asInstanceOf[Double]))
+      MurmurHash3.stringHash(Seq(r.get(0), r.get(1), r.get(2), r.get(3), grams).mkString("|")) & 0xffffffffL
+    }.sum
+    assert(perLine.length == 10021)
+    assert(f"$digest%x" == "13938da02b56")
+  }
+}

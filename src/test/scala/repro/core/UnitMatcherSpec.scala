@@ -132,20 +132,6 @@ class UnitMatcherSpec extends SparkSpec {
     assert(r.getAs[Double]("grams") == 14.2)
   }
 
-  test("standardizedWeights dedups by (ndbId, stdUnit) keeping lowest seq") {
-    val std = UnitMatcher.standardizedWeights(weights)
-    val dups = std.groupBy("ndbId", "stdUnit").count().filter($"count" > 1).count()
-    assert(dups == 0)
-  }
-
-  test("firstVolumetric picks each food's first listed volume measure") {
-    val fv = UnitMatcher.firstVolumetric(UnitMatcher.standardizedWeights(weights))
-    val butter = fv.filter($"ndbId" === 1L).collect().head
-    assert(butter.getAs[String]("volUnit") == "tablespoon") // seq 2, before cup
-    assert(butter.getAs[Double]("volGpa") == 14.2)
-    assert(fv.groupBy("ndbId").count().filter($"count" > 1).count() == 0)
-  }
-
   test("unmatched food (null ndbId) with a mass unit still resolves") {
     val df = lines(("unknown thing", "100", "g", "", null))
     val r = UnitMatcher.resolve(df, weights).collect().head
