@@ -75,13 +75,4 @@ object JaccardMatcher {
 
   /** One row of [[matchBest]]'s result, after the pass-through columns. */
   final case class Best(ndbId: Long, score: Double, inter: Long, aSize: Int, bestPriority: Int)
-
-  /** Convenience: best match with the matched description text. */
-  def matchBestWithDescription(ingredients: DataFrame, reference: DataFrame,
-                               metric: Metric = Modified): DataFrame = {
-    val index = ReferenceIndex.collect(Some(reference), None)
-    val descriptionUdf = udf { (ndbId: Long) => index.foods(ndbId).description }
-    matchBest(ingredients, index, metric, Seq("ingId"))
-      .withColumn("description", descriptionUdf(col("ndbId")))
-  }
 }

@@ -76,11 +76,7 @@ object NerPipeline {
     val extractUdf = udf { (phrase: String) => extractPhrase(model, phrase) }
     phrases
       .withColumn("ext", extractUdf(col(phraseCol)))
-      .select(col("*"),
-        col("ext.name").as("name"), col("ext.state").as("state"),
-        col("ext.quantity").as("quantity"), col("ext.unit").as("unit"),
-        col("ext.temp").as("temp"), col("ext.df").as("df"),
-        col("ext.size").as("size"))
+      .select(col("*"), col("ext.*"))
       .drop("ext")
   }
 }

@@ -13,9 +13,9 @@ import repro.nlp.NerModel
   * Matching runs on distinct (name, state, temp, df) tuples — the paper's
   * unit of account ("94.49% of the unique ingredients") — and the result is
   * joined back onto the full corpus on those four columns, so matching
-  * scales with vocabulary, not corpus size. Both matching and unit lookup
-  * read one [[ReferenceIndex]] built on the driver from `foods` and
-  * `weights`.
+  * scales with vocabulary, not corpus size. Matching, unit lookup and the
+  * per-100 g nutrients all read one [[ReferenceIndex]] built on the driver
+  * from `foods` and `weights`, so the foods table is never joined.
   */
 object NutritionEstimator {
 
@@ -23,31 +23,27 @@ object NutritionEstimator {
     *
     * @param lines   columns: recipeId, lineNo, phrase, servings
     * @param model   trained NER model
-    * @param foods   USDA foods: ndbId, description, kcal100g, …
+    * @param foods   USDA foods: ndbId, description, kcal100g, …, carb100g
     * @param weights USDA gram weights
-    * @return per-line DataFrame with name/state/…, ndbId, description,
-    *         grams, estKcal, nameMapped, fullyMapped
+    * @return per-line DataFrame with name/state/…, ndbId, the columns of
+    *         [[UnitMatcher.resolve]], the matched food's description and
+    *         per-100 g nutrients, nameMapped, fullyMapped
     */
   def perLine(lines: DataFrame, model: NerModel,
               foods: DataFrame, weights: DataFrame): DataFrame = {
     val index     = ReferenceIndex.collect(Some(foods), Some(weights))
     val annotated = NerPipeline.annotate(model, lines).cache()
     val keys      = JaccardMatcher.KeyColumns
+    val foodUdf   = udf { (ndbId: java.lang.Long) => Option(ndbId).flatMap(id => index.foods.get(id)) }
 
     val matched = JaccardMatcher
       .matchBest(annotated.select(keys.map(col): _*).distinct(), index, JaccardMatcher.Modified, keys)
       .select((keys :+ "ndbId" :+ "score").map(col): _*)
 
-    val resolved = UnitMatcher.resolve(annotated.join(matched, keys, "left"), index)
-
-    resolved
-      .join(foods.select(col("ndbId"), col("description"), col("kcal100g"),
-                         col("protein100g"), col("fat100g"), col("carb100g")),
-            Seq("ndbId"), "left")
-      .withColumn("estKcal",    col("grams") * col("kcal100g") / 100.0)
-      .withColumn("estProtein", col("grams") * col("protein100g") / 100.0)
-      .withColumn("estFat",     col("grams") * col("fat100g") / 100.0)
-      .withColumn("estCarb",    col("grams") * col("carb100g") / 100.0)
+    UnitMatcher.resolve(annotated.join(matched, keys, "left"), index)
+      .withColumn("food", foodUdf(col("ndbId")))
+      .select(col("*"), col("food.description"), col("food.per100g.*"))
+      .drop("food")
       .withColumn("nameMapped", col("ndbId").isNotNull)
       .withColumn("fullyMapped", col("ndbId").isNotNull && col("unitResolved"))
   }

@@ -20,7 +20,10 @@ import org.apache.spark.sql.functions._
   *     invalidate the unit;
   *  7. lines still unresolved (missing or invalid unit) fall back to the
   *     ingredient's corpus-wide most-frequent successfully-resolved unit and
-  *     retry steps 2–4.
+  *     retry steps 2–4 and 6.
+  *
+  * [[firstPass]] and [[finish]] are the chain's only definition; [[resolve]]
+  * applies them through UDFs around the corpus-wide statistic of step 7.
   */
 object UnitMatcher {
 
@@ -29,8 +32,43 @@ object UnitMatcher {
     */
   val MaxGramsPerLine: Double = 5000.0
 
-  private val qtyUdf = udf { (q: String) => QuantityParser.parse(q) }
-  private val stdUdf = udf { (u: String) => UnitTables.standardize(u) }
+  /** One line after steps 1–6: quantity (1 if its text is empty, None if it
+    * does not parse), standardized unit ("size" for a bare size word, "" for
+    * none) and the grams in one such unit if the line stays plausible.
+    */
+  final case class FirstPass(qty: Option[Double], stdUnit: String, stdGramsPerUnit: Option[Double])
+
+  /** One line after step 7, with its grams and nutrients; all None when unresolved. */
+  final case class Resolved(resolvedUnit: Option[String], gramsPerUnit: Option[Double], grams: Option[Double],
+                            estKcal: Option[Double], estProtein: Option[Double],
+                            estFat: Option[Double], estCarb: Option[Double])
+
+  /** `gramsPerUnit` when `qty` of it weighs from 0 to [[MaxGramsPerLine]]. */
+  private def plausible(qty: Option[Double], gramsPerUnit: Option[Double]): Option[Double] =
+    gramsPerUnit.filter(g => qty.exists(q => q * g >= 0 && q * g <= MaxGramsPerLine))
+
+  /** Steps 1–6 for one line's extracted quantity, unit and size words. */
+  def firstPass(index: ReferenceIndex, quantity: String, unit: String, size: String,
+                ndbId: Option[Long]): FirstPass = {
+    val qty = if (quantity == null || quantity.trim.isEmpty) Some(1.0) else QuantityParser.parse(quantity)
+    val stdUnit = UnitTables.standardize(unit) match {
+      case "" if size != null && size.nonEmpty => "size"
+      case u                                   => u
+    }
+    FirstPass(qty, stdUnit, plausible(qty, index.gramsPer(ndbId, stdUnit)))
+  }
+
+  /** Step 7 with the name's most frequent unit (null when none), then
+    * grams = quantity × grams per unit and each nutrient = grams × per-100 g / 100.
+    */
+  def finish(index: ReferenceIndex, ndbId: Option[Long], p: FirstPass, modeUnit: String): Resolved = {
+    val unit = p.stdGramsPerUnit.map(p.stdUnit -> _)
+      .orElse(plausible(p.qty, index.gramsPer(ndbId, modeUnit)).map(modeUnit -> _))
+    val grams   = for ((_, g) <- unit; q <- p.qty) yield q * g
+    val per100g = ndbId.flatMap(index.foods.get).flatMap(_.per100g)
+    def est(x: ReferenceIndex.Per100g => Double) = for (g <- grams; n <- per100g) yield g * x(n) / 100.0
+    Resolved(unit.map(_._1), unit.map(_._2), grams, est(_.kcal100g), est(_.protein100g), est(_.fat100g), est(_.carb100g))
+  }
 
   /** Full §II-C resolution.
     *
@@ -39,51 +77,34 @@ object UnitMatcher {
     *                (matched food, nullable)
     * @param weights USDA gram-weight table: ndbId, seq, amount, unit, grams
     * @return input plus qty, stdUnit, resolvedUnit, gramsPerUnit, grams,
-    *         unitResolved
+    *         estKcal, estProtein, estFat, estCarb (null without foods in the
+    *         index), unitResolved
     */
   def resolve(lines: DataFrame, weights: DataFrame): DataFrame =
     resolve(lines, ReferenceIndex.collect(None, Some(weights)))
 
   /** [[resolve]] against a built index. */
   def resolve(lines: DataFrame, index: ReferenceIndex): DataFrame = {
-    val gpaUdf = udf { (ndbId: java.lang.Long, stdUnit: String) =>
-      index.gramsPer(Option(ndbId).map(_.longValue), stdUnit)
+    val firstUdf = udf { (quantity: String, unit: String, size: String, ndbId: java.lang.Long) =>
+      firstPass(index, quantity, unit, size, Option(ndbId).map(_.longValue))
     }
-
-    val prepared = lines
-      .withColumn("qty", coalesce(qtyUdf(col("quantity")), lit(1.0)))
-      .withColumn("stdUnit",
-        when(stdUdf(col("unit")) =!= "", stdUdf(col("unit")))
-          .when(col("size") =!= "", lit("size"))
-          .otherwise(lit("")))
-
-    // Pass 1: resolve the detected unit; invalidate implausible results.
-    val p1 = prepared
-      .withColumn("gpa1", gpaUdf(col("ndbId"), col("stdUnit")))
-      .withColumn("gpa1",
-        when(col("qty") * col("gpa1") > MaxGramsPerLine, lit(null)).otherwise(col("gpa1")))
+    val finishUdf = udf { (p: FirstPass, ndbId: java.lang.Long, modeUnit: String) =>
+      finish(index, Option(ndbId).map(_.longValue), p, modeUnit)
+    }
+    val p1 = lines.withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
 
     // Most-frequent successfully-resolved unit per name (ties: first A–Z).
     val modes = p1
-      .filter(col("gpa1").isNotNull && col("stdUnit") =!= "")
-      .groupBy(col("name"), col("stdUnit")).agg(count(lit(1)).as("cnt"))
+      .filter(col("p1.stdGramsPerUnit").isNotNull && col("p1.stdUnit") =!= "")
+      .groupBy(col("name"), col("p1.stdUnit").as("stdUnit")).agg(count(lit(1)).as("cnt"))
       .groupBy(col("name"))
       .agg(min(struct((-col("cnt")).as("negCnt"), col("stdUnit"))).getField("stdUnit").as("modeUnit"))
 
-    // Pass 2: unresolved lines retry with the fallback unit.
-    val p2 = p1
+    p1
       .join(modes, Seq("name"), "left")
-      .withColumn("fbUnit", when(col("gpa1").isNull, col("modeUnit")).otherwise(lit(null)))
-      .withColumn("gpa2", gpaUdf(col("ndbId"), col("fbUnit")))
-
-    p2
-      .withColumn("gramsPerUnit", coalesce(col("gpa1"), col("gpa2")))
-      .withColumn("resolvedUnit",
-        when(col("gpa1").isNotNull, col("stdUnit"))
-          .when(col("gpa2").isNotNull, col("fbUnit"))
-          .otherwise(lit(null)))
-      .withColumn("grams", col("qty") * col("gramsPerUnit"))
+      .withColumn("r", finishUdf(col("p1"), col("ndbId"), col("modeUnit")))
+      .select(col("*"), col("p1.qty"), col("p1.stdUnit"), col("r.*"))
       .withColumn("unitResolved", col("grams").isNotNull)
-      .drop("modeUnit", "fbUnit", "gpa1", "gpa2")
+      .drop("p1", "r", "modeUnit")
   }
 }

@@ -94,15 +94,11 @@ object Experiments {
   /** Table IV: the cleaned ingredient-unit relations for Butter,salted. */
   def table4(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    val stdUdf = udf { (u: String) => UnitTables.standardize(u) }
-    UsdaData.weights(spark)
-      .filter($"ndbId" === 1L)
-      .join(UsdaData.foods(spark).select("ndbId", "description"), "ndbId")
-      .withColumn("unit", stdUdf($"unit"))
-      .withColumn("gram_per_amount", round($"grams" / $"amount", 2))
-      .select($"description".as("ingredient"), $"seq", $"amount", $"unit",
-              $"grams", $"gram_per_amount")
-      .orderBy($"seq")
+    val butter = UsdaData.allFoods.find(_.ndbId == 1L).get.description
+    UsdaData.allWeights.filter(_.ndbId == 1L).sortBy(_.seq).map { w =>
+      (butter, w.seq, w.amount, UnitTables.standardize(w.unit), w.grams,
+       BigDecimal(w.grams / w.amount).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble)
+    }.toDF("ingredient", "seq", "amount", "unit", "grams", "gram_per_amount")
   }
 
   /** Figure 2 (as a table): distribution of recipes over the percentage of

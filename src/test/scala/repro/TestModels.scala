@@ -1,9 +1,10 @@
 package repro
 
-import repro.data.RecipeData
+import repro.core.ReferenceIndex
+import repro.data.{RecipeData, UsdaData}
 import repro.nlp.{NerModel, NerTrainer}
 
-/** Shared trained NER model for test suites (one training per JVM). */
+/** Shared trained NER model and reference index for test suites (one of each per JVM). */
 object TestModels {
   /** Trained on ~1.5k synthetic labeled phrases — small but representative. */
   lazy val ner: NerModel = {
@@ -12,4 +13,10 @@ object TestModels {
       .map(l => NerTrainer.Labeled(l.tokens.toIndexedSeq, l.tags.toIndexedSeq))
     NerTrainer.train(labeled, epochs = 6, seed = 42)
   }
+
+  /** Every generated food, with its nutrients, and every weight row; built without Spark. */
+  lazy val index: ReferenceIndex = ReferenceIndex(
+    UsdaData.allFoods.map(f =>
+      (f.ndbId, f.description, Some(ReferenceIndex.Per100g(f.kcal100g, f.protein100g, f.fat100g, f.carb100g)))),
+    UsdaData.allWeights)
 }

@@ -18,12 +18,13 @@ class JaccardMatcherSpec extends SparkSpec {
       .map { case ((n, s, t, d), i) => (i.toLong, n, s, t, d) }
       .toSeq.toDF("ingId", "name", "state", "temp", "df")
 
+  private lazy val curated: ReferenceIndex =
+    ReferenceIndex(UsdaData.allFoods.filter(_.ndbId <= 50).map(f => (f.ndbId, f.description, None)), Nil)
+
+  /** The description of the best match, without Spark. */
   private def bestOf(name: String, state: String = "", temp: String = "", df: String = "",
-                     metric: JaccardMatcher.Metric = JaccardMatcher.Modified): Option[String] = {
-    val m = JaccardMatcher.matchBestWithDescription(
-      ingredients((name, state, temp, df)), reference, metric)
-    m.collect().headOption.map(_.getAs[String]("description"))
-  }
+                     metric: JaccardMatcher.Metric = JaccardMatcher.Modified): Option[String] =
+    curated.best(name, state, temp, df, metric).map(c => curated.foods(c.ndbId).description)
 
   // ---- heuristic (e): modified vs vanilla metric ------------------------
 

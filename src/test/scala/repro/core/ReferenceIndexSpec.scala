@@ -16,8 +16,7 @@ class ReferenceIndexSpec extends SparkSpec {
 
   import spark.implicits._
 
-  private lazy val foods = UsdaData.allFoods.map(f => f.ndbId -> f.description)
-  private lazy val index = ReferenceIndex(foods, UsdaData.allWeights)
+  private def index = TestModels.index
 
   /** Per-line output at SF 0.01 with the shared test model. */
   private lazy val perLine: Array[Row] =
@@ -44,6 +43,16 @@ class ReferenceIndexSpec extends SparkSpec {
     // Butter lists pat (seq 1), tbsp (seq 2), then cup: pat is not volumetric.
     assert(index.firstVolumetric(1L) == ("tablespoon", 14.2))
     assert(index.firstVolumetric(39L) == ("cup", 160.0))
+  }
+
+  test("collect carries per-100 g nutrients, and builds from descriptions alone") {
+    val butter = UsdaData.allFoods.find(_.ndbId == 1L).get
+    val full   = ReferenceIndex.collect(Some(UsdaData.foods(spark)), None)
+    val bare   = ReferenceIndex.collect(Some(UsdaData.foods(spark).select("ndbId", "description")), None)
+    assert(full.foods(1L).per100g.contains(
+      ReferenceIndex.Per100g(butter.kcal100g, butter.protein100g, butter.fat100g, butter.carb100g)))
+    assert(bare.foods(1L).per100g.isEmpty && full.foods.keySet == bare.foods.keySet)
+    assert(bare.best("salted butter", "", "", "", Modified) == full.best("salted butter", "", "", "", Modified))
   }
 
   // ---- §II-B matching against a brute-force scan ---------------------------

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
+import repro.{SparkSpec, TestModels}
 import repro.data.UsdaData
 
 /** §II-C unit matching: lookups, conversions, thresholds, fallbacks. */
@@ -15,57 +15,58 @@ class UnitMatcherSpec extends SparkSpec {
   private def lines(rows: (String, String, String, String, java.lang.Long)*): DataFrame =
     rows.toSeq.toDF("name", "quantity", "unit", "size", "ndbId")
 
-  private def resolveOne(name: String, qty: String, unit: String,
-                         size: String = "", ndbId: Long = 1L): org.apache.spark.sql.Row =
-    UnitMatcher.resolve(lines((name, qty, unit, size, ndbId)), weights).collect().head
+  /** One line through the chain on its own, without Spark: it has no
+    * siblings, so no fallback unit.
+    */
+  private def resolveOne(qty: String, unit: String, size: String = "",
+                         ndbId: Long = 1L): (UnitMatcher.FirstPass, UnitMatcher.Resolved) = {
+    val p = UnitMatcher.firstPass(TestModels.index, qty, unit, size, Some(ndbId))
+    (p, UnitMatcher.finish(TestModels.index, Some(ndbId), p, null))
+  }
+
+  private def gramsOf(qty: String, unit: String, size: String = "", ndbId: Long = 1L): Double =
+    resolveOne(qty, unit, size, ndbId)._2.grams.get
 
   test("listed unit resolves from the USDA weight table (butter tbsp=14.2g)") {
-    val r = resolveOne("butter", "1", "tbsp")
-    assert(r.getAs[Double]("grams") == 14.2)
-    assert(r.getAs[String]("resolvedUnit") == "tablespoon")
-    assert(r.getAs[Boolean]("unitResolved"))
+    val r = resolveOne("1", "tbsp")._2
+    assert(r.grams.contains(14.2))
+    assert(r.resolvedUnit.contains("tablespoon"))
+    assert(r.gramsPerUnit.contains(14.2))
   }
 
   test("quantity scales grams ('3 tablespoons butter')") {
-    val r = resolveOne("butter", "3", "tablespoons")
-    assert(math.abs(r.getAs[Double]("grams") - 42.6) < 1e-9)
+    assert(math.abs(gramsOf("3", "tablespoons") - 42.6) < 1e-9)
   }
 
   test("fractional quantity ('1/2 cup butter' = 113.5g)") {
-    val r = resolveOne("butter", "1/2", "cup")
-    assert(math.abs(r.getAs[Double]("grams") - 113.5) < 1e-9)
+    assert(math.abs(gramsOf("1/2", "cup") - 113.5) < 1e-9)
   }
 
   test("mixed-number quantity ('2 1/2 cups')") {
-    val r = resolveOne("butter", "2 1/2", "cup")
-    assert(math.abs(r.getAs[Double]("grams") - 2.5 * 227.0) < 1e-9)
+    assert(math.abs(gramsOf("2 1/2", "cup") - 2.5 * 227.0) < 1e-9)
   }
 
   test("range quantity averages ('2-4 tbsp')") {
-    val r = resolveOne("butter", "2-4", "tbsp")
-    assert(math.abs(r.getAs[Double]("grams") - 3 * 14.2) < 1e-9)
+    assert(math.abs(gramsOf("2-4", "tbsp") - 3 * 14.2) < 1e-9)
   }
 
   test("noisy USDA unit strings are cleaned ('pat (1\" sq…)')") {
-    val r = resolveOne("butter", "2", "pat")
-    assert(math.abs(r.getAs[Double]("grams") - 10.0) < 1e-9)
+    assert(math.abs(gramsOf("2", "pat") - 10.0) < 1e-9)
   }
 
   test("mass units convert exactly without a weight row ('1/2 lb beef')") {
-    val r = resolveOne("beef", "1/2", "lb", ndbId = 38L)
-    assert(math.abs(r.getAs[Double]("grams") - 226.796) < 1e-3)
+    assert(math.abs(gramsOf("1/2", "lb", ndbId = 38L) - 226.796) < 1e-3)
   }
 
   test("gram quantities are exact ('250 g flour')") {
-    val r = resolveOne("flour", "250", "g", ndbId = 42L)
-    assert(math.abs(r.getAs[Double]("grams") - 250.0) < 1e-9)
+    assert(math.abs(gramsOf("250", "g", ndbId = 42L) - 250.0) < 1e-9)
   }
 
   test("paper's worked example: teaspoon of butter via volume conversion") {
     // USDA lists no teaspoon for butter; cup=227g → tsp = 227×4.93/236.59.
-    val r = resolveOne("butter", "1", "teaspoon")
-    assert(math.abs(r.getAs[Double]("grams") - 4.729) < 0.01)
-    assert(r.getAs[String]("resolvedUnit") == "teaspoon")
+    val r = resolveOne("1", "teaspoon")._2
+    assert(math.abs(r.grams.get - 4.729) < 0.01)
+    assert(r.resolvedUnit.contains("teaspoon"))
   }
 
   test("sizes are one equivalent unit: small/medium/large onion all resolve") {
@@ -80,23 +81,36 @@ class UnitMatcherSpec extends SparkSpec {
   }
 
   test("explicit size unit word also resolves ('2 small apples')") {
-    val r = resolveOne("apple", "2", "small", ndbId = 18L)
-    assert(r.getAs[Boolean]("unitResolved"))
-    assert(math.abs(r.getAs[Double]("grams") - 2 * 149.0) < 1e-9)
+    assert(math.abs(gramsOf("2", "small", ndbId = 18L) - 2 * 149.0) < 1e-9)
   }
 
   test("implausible quantity/unit ('500 cups') is rejected and falls back") {
     // 500 cups of butter = 113 kg >> 5 kg threshold → unit invalidated; the
-    // fallback re-resolves with the corpus-mode unit for 'butter'.
+    // fallback to the corpus-mode unit (tablespoon) gives 7.1 kg, which the
+    // same threshold rejects, so the line stays unresolved.
     val df = lines(
       ("butter", "500", "cup", "", 1L),
       ("butter", "1", "tbsp", "", 1L),
       ("butter", "2", "tbsp", "", 1L))
-    val rs = UnitMatcher.resolve(df, weights).collect()
+    val big = UnitMatcher.resolve(df, weights).collect().find(_.getAs[Double]("qty") == 500.0).get
+    assert(!big.getAs[Boolean]("unitResolved"))
+    assert(big.isNullAt(big.fieldIndex("grams")) && big.isNullAt(big.fieldIndex("resolvedUnit")))
+  }
+
+  test("an implausible unit that is also the name's mode stays unresolved") {
+    // Pass 1 rejects 500 cups; the fallback must not re-accept the same unit.
+    val df = lines(
+      ("butter", "500", "cup", "", 1L),
+      ("butter", "1", "cup", "", 1L),
+      ("butter", "2", "cup", "", 1L))
+    val rs  = UnitMatcher.resolve(df, weights).collect()
     val big = rs.find(_.getAs[Double]("qty") == 500.0).get
-    assert(big.getAs[String]("resolvedUnit") == "tablespoon") // mode fallback
-    assert(math.abs(big.getAs[Double]("grams") - 500 * 14.2) < 1e-6 ||
-           big.getAs[Double]("grams") <= UnitMatcher.MaxGramsPerLine * 2)
+    assert(!big.getAs[Boolean]("unitResolved"))
+    assert(big.isNullAt(big.fieldIndex("grams")))
+    assert(rs.count(_.getAs[Boolean]("unitResolved")) == 2)
+    val p = UnitMatcher.firstPass(TestModels.index, "500", "cup", "", Some(1L))
+    assert(p.stdGramsPerUnit.isEmpty)
+    assert(UnitMatcher.finish(TestModels.index, Some(1L), p, "cup").grams.isEmpty)
   }
 
   test("missing unit falls back to the ingredient's most frequent unit") {
@@ -118,25 +132,48 @@ class UnitMatcherSpec extends SparkSpec {
   }
 
   test("unit alias 'tbsp'/'tablespoon'/'tablespoons' resolve identically") {
-    val df = lines(
-      ("butter", "1", "tbsp", "", 1L),
-      ("butter", "1", "tablespoon", "", 1L),
-      ("butter", "1", "tablespoons", "", 1L))
-    val gs = UnitMatcher.resolve(df, weights).collect().map(_.getAs[Double]("grams"))
-    assert(gs.distinct.length == 1 && gs.head == 14.2)
+    assert(Seq("tbsp", "tablespoon", "tablespoons").map(gramsOf("1", _)) == Seq(14.2, 14.2, 14.2))
   }
 
   test("missing quantity defaults to 1") {
-    val r = resolveOne("butter", "", "tbsp")
-    assert(r.getAs[Double]("qty") == 1.0)
-    assert(r.getAs[Double]("grams") == 14.2)
+    val (p, r) = resolveOne("", "tbsp")
+    assert(p.qty.contains(1.0))
+    assert(r.grams.contains(14.2))
+  }
+
+  test("an unparseable quantity leaves the line unresolved ('abc tbsp butter')") {
+    for (q <- Seq("abc", "1/0", "one")) {
+      val (p, r) = resolveOne(q, "tbsp")
+      assert(p.qty.isEmpty, q)
+      assert(r == UnitMatcher.Resolved(None, None, None, None, None, None, None), q)
+    }
+    // Also with a fallback unit on offer, and through Spark.
+    val p = UnitMatcher.firstPass(TestModels.index, "abc", "", "", Some(1L))
+    assert(UnitMatcher.finish(TestModels.index, Some(1L), p, "tablespoon").grams.isEmpty)
+    val r = UnitMatcher.resolve(lines(("butter", "abc", "tbsp", "", 1L)), weights).collect().head
+    assert(!r.getAs[Boolean]("unitResolved"))
+    assert(r.isNullAt(r.fieldIndex("grams")) && r.isNullAt(r.fieldIndex("qty")))
+  }
+
+  test("nutrients are grams × the matched food's per-100 g values / 100") {
+    val butter = UsdaData.allFoods.find(_.ndbId == 1L).get
+    val r = resolveOne("3", "tbsp")._2
+    val g = 3 * 14.2
+    assert(r.estKcal.contains(g * butter.kcal100g / 100.0))
+    assert(r.estProtein.contains(g * butter.protein100g / 100.0))
+    assert(r.estFat.contains(g * butter.fat100g / 100.0))
+    assert(r.estCarb.contains(g * butter.carb100g / 100.0))
+    // No nutrients from an index built from weights alone.
+    val weightsOnly = ReferenceIndex(Nil, UsdaData.allWeights)
+    val p = UnitMatcher.firstPass(weightsOnly, "1", "tbsp", "", Some(1L))
+    assert(UnitMatcher.finish(weightsOnly, Some(1L), p, null).estKcal.isEmpty)
   }
 
   test("unmatched food (null ndbId) with a mass unit still resolves") {
-    val df = lines(("unknown thing", "100", "g", "", null))
-    val r = UnitMatcher.resolve(df, weights).collect().head
-    assert(r.getAs[Boolean]("unitResolved"))
-    assert(r.getAs[Double]("grams") == 100.0)
+    val p = UnitMatcher.firstPass(TestModels.index, "100", "g", "", None)
+    val r = UnitMatcher.finish(TestModels.index, None, p, null)
+    assert(r.grams.contains(100.0) && r.resolvedUnit.contains("gram"))
+    assert(r.estKcal.isEmpty) // no food, no nutrients
   }
 
   test("mode computation matches DuckDB (oracle)") {
