@@ -11,16 +11,7 @@ object ResultsJob {
     val spark = Jobs.session("results")
     val sf    = Jobs.sfArg(args)
     val r     = Experiments.results(spark, sf)
-    println(s"RESULTS (§III) at SF=$sf — paper value in [brackets]")
-    println(f"NER held-out F1:            ${r.nerHoldoutF1}%.4f  [0.95]")
-    println(f"NER 5-fold CV mean F1:      ${r.nerCvF1s.sum / r.nerCvF1s.size}%.4f  [0.95]  folds=${r.nerCvF1s.map(f => f"$f%.3f").mkString(",")}")
-    println(f"Unique ingredients:         ${r.nUniqueIngredients}")
-    println(f"Unique-ingredient match:    ${r.uniqueMatchRatePct}%.2f%%  [94.49%%]")
-    println(f"Modified≠vanilla matches:   ${r.divergenceSampled}/${r.divergenceSampleSize}  [227/1000]")
-    println(f"Match accuracy (top-5000):  ${r.accuracyTopKPct}%.1f%% (${r.accuracyTopKCorrect}/${r.accuracyTopK})  [71.6%% (3580/5000)]")
-    println(f"Recipes / fully mapped:     ${r.nRecipes} / ${r.nFullyMappedRecipes}  [118071 / 2482 evaluated]")
-    println(f"Per-serving calorie MAE:    ${r.maePerServingKcal}%.2f kcal  [36.42]")
-    println(f"Mean gold kcal/serving:     ${r.meanGoldKcalPerServing}%.1f")
+    println(Experiments.report(sf, r))
     spark.stop()
   }
 }

@@ -72,10 +72,10 @@ object NerPipeline {
   /** Add structured columns (name, state, quantity, unit, temp, df, size)
     * to a DataFrame containing a `phrase` column.
     */
-  def annotate(model: NerModel, phrases: DataFrame, phraseCol: String = "phrase"): DataFrame = {
+  def annotate(model: NerModel, phrases: DataFrame): DataFrame = {
     val extractUdf = udf { (phrase: String) => extractPhrase(model, phrase) }
     phrases
-      .withColumn("ext", extractUdf(col(phraseCol)))
+      .withColumn("ext", extractUdf(col("phrase")))
       .select(col("*"), col("ext.*"))
       .drop("ext")
   }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -58,12 +58,11 @@ object Experiments {
       .cache()
     // Paper split: 6612 train / 2188 test ≈ 0.751.
     val split = CorpusSelector.split(spark, corpus.toDF(), k = 8, trainFrac = 0.751, seed = seed)
-      .select($"id", $"split", $"tokens", $"tags").collect()
-    def labeled(rows: Seq[org.apache.spark.sql.Row]) = rows.map { r =>
-      NerTrainer.Labeled(r.getSeq[String](2).toIndexedSeq, r.getSeq[String](3).toIndexedSeq)
-    }
-    val train = labeled(split.filter(_.getString(1) == "train").toSeq)
-    val test  = labeled(split.filter(_.getString(1) == "test").toSeq)
+      .select($"split", $"tokens", $"tags").as[(String, Seq[String], Seq[String])].collect()
+      .map { case (s, tokens, tags) => (s, NerTrainer.Labeled(tokens.toIndexedSeq, tags.toIndexedSeq)) }
+    corpus.unpersist()
+    val train = split.collect { case ("train", l) => l }.toSeq
+    val test  = split.collect { case ("test", l) => l }.toSeq
     val model = NerTrainer.train(train, epochs, seed)
     val f1    = NerTrainer.evaluate(model, test).f1
     (model, f1, train ++ test)
@@ -138,6 +137,21 @@ object Experiments {
       maePerServingKcal: Double,
       meanGoldKcalPerServing: Double)
 
+  /** An ingredient key, its match, its lines with a true food, their most frequent one, and a sample hash. */
+  final case class IngredientKey(name: String, state: String, temp: String, df: String, ndbId: Option[Long],
+                                 freq: Long, majorityTruth: Option[Long], hash: Long)
+
+  /** One row per ingredient key of a per-line frame that keeps `trueNdbId` (−1: no true food).
+    * `ndbId` is constant per key, since `perLine` joins the match back on the four key columns.
+    */
+  def ingredientKeys(perLine: DataFrame, seed: Long): Dataset[IngredientKey] = {
+    val truth = when(col("trueNdbId") =!= -1L, col("trueNdbId"))
+    perLine.groupBy((JaccardMatcher.KeyColumns :+ "ndbId").map(col): _*)
+      .agg(count(truth).as("freq"), mode(truth).as("majorityTruth"))
+      .withColumn("hash", xxhash64(JaccardMatcher.KeyColumns.map(col) :+ lit(seed): _*))
+      .as(Encoders.product[IngredientKey])
+  }
+
   def results(spark: SparkSession, sf: Double, nerPhrases: Int = 8800,
               cvFolds: Int = 5, seed: Long = 7): Results = {
     import spark.implicits._
@@ -146,56 +160,35 @@ object Experiments {
     val (model, holdoutF1, corpus) = trainNer(spark, nerPhrases, epochs = 8, seed = seed + 92)
     val cvF1s = NerTrainer.crossValidate(corpus, folds = cvFolds, epochs = 6, seed = seed + 17)
 
-    val foods   = UsdaData.foods(spark).cache()
-    val weights = UsdaData.weights(spark).cache()
-    val truthLines = RecipeData.ingredientLines(spark, sf, seed).cache()
-    val lines = truthLines.select("recipeId", "lineNo", "phrase", "servings")
-
-    val perLine = NutritionEstimator.perLine(lines, model, foods, weights).cache()
+    val foods = UsdaData.foods(spark)
+    val lines = RecipeData.ingredientLines(spark, sf, seed)
+      .select("recipeId", "lineNo", "phrase", "servings", "trueNdbId")
+    val perLine = NutritionEstimator.perLine(lines, model, foods, UsdaData.weights(spark)).cache()
+    val keys    = ingredientKeys(perLine, seed).collect()
 
     // --- unique-ingredient match rate (paper: 94.49%) ---------------------
-    val unique = perLine.select("name", "state", "temp", "df").distinct().cache()
-    val nUnique = unique.count()
-    val nUniqueMapped = perLine.filter($"nameMapped")
-      .select("name", "state", "temp", "df").distinct().count()
+    val nUnique       = keys.length.toLong
+    val nUniqueMapped = keys.count(_.ndbId.isDefined).toLong
 
     // --- modified vs vanilla divergence (paper: 227 / 1000) ---------------
-    val sample = unique
-      .orderBy(xxhash64($"name", $"state", $"temp", $"df", lit(seed)))
-      .limit(1000).as[(String, String, String, String)].collect()
-    val index = ReferenceIndex.collect(Some(foods), None)
-    def best(k: (String, String, String, String), metric: JaccardMatcher.Metric): Option[Long] =
-      index.best(k._1, k._2, k._3, k._4, metric).map(_.ndbId)
-    val divergent  = sample.count(k => best(k, JaccardMatcher.Modified) != best(k, JaccardMatcher.Vanilla)).toLong
-    val sampleSize = sample.length.toLong
+    val sample = keys.sortBy(_.hash).take(1000)
+    val index  = ReferenceIndex.collect(Some(foods), None)
+    def best(k: IngredientKey, m: JaccardMatcher.Metric) = index.best(k.name, k.state, k.temp, k.df, m).map(_.ndbId)
+    val divergent = sample.count(k => best(k, JaccardMatcher.Modified) != best(k, JaccardMatcher.Vanilla)).toLong
 
     // --- match accuracy on the most frequent ingredients (paper: 71.6%) ---
-    val truthJoined = perLine
-      .join(truthLines.select($"recipeId", $"lineNo", $"trueNdbId"),
-            Seq("recipeId", "lineNo"))
-      .filter($"trueNdbId" =!= -1L).cache()
-    val topK = 5000
-    val freqW = Window.orderBy($"freq".desc, $"name".asc, $"state".asc)
-    val perIngredient = truthJoined
-      .groupBy($"name", $"state", $"temp", $"df")
-      .agg(count(lit(1)).as("freq"),
-           first($"ndbId").as("matchedNdb"),
-           mode($"trueNdbId").as("majorityTruth"))
-      .withColumn("rk", row_number().over(freqW))
-      .filter($"rk" <= topK).cache()
-    val accTotal   = perIngredient.count()
-    val accCorrect = perIngredient.filter($"matchedNdb" === $"majorityTruth").count()
+    val topK       = keys.filter(_.freq > 0).sortBy(k => (-k.freq, k.name, k.state)).take(5000)
+    val accCorrect = topK.count(k => k.ndbId.isDefined && k.ndbId == k.majorityTruth).toLong
 
     // --- per-serving calorie error on fully-mapped recipes (paper: 36.42) -
-    val perRecipe = NutritionEstimator.perRecipe(perLine).cache()
-    val gold = RecipeData.recipes(spark, sf, seed)
-      .select($"recipeId", $"goldKcalPerServing")
-    val full = perRecipe.filter($"nFullyMapped" === $"nLines").join(gold, "recipeId").cache()
-    val nRecipes = perRecipe.count()
-    val nFull    = full.count()
-    val errRow = full.select(
-      avg(abs($"estKcalPerServing" - $"goldKcalPerServing")).as("mae"),
-      avg($"goldKcalPerServing").as("meanGold")).collect().head
+    val full = $"nFullyMapped" === $"nLines"
+    val row = NutritionEstimator.perRecipe(perLine)
+      .join(RecipeData.recipes(spark, sf, seed).select("recipeId", "goldKcalPerServing"), "recipeId")
+      .agg(count(lit(1)), count(when(full, 1)),
+           avg(when(full, abs($"estKcalPerServing" - $"goldKcalPerServing"))),
+           avg(when(full, $"goldKcalPerServing")))
+      .collect().head
+    perLine.unpersist()
 
     Results(
       nerHoldoutF1 = holdoutF1,
@@ -203,15 +196,29 @@ object Experiments {
       nUniqueIngredients = nUnique,
       uniqueMatchRatePct = nUniqueMapped * 100.0 / math.max(1L, nUnique),
       divergenceSampled = divergent,
-      divergenceSampleSize = sampleSize,
-      accuracyTopKPct = accCorrect * 100.0 / math.max(1L, accTotal),
-      accuracyTopK = accTotal,
+      divergenceSampleSize = sample.length.toLong,
+      accuracyTopKPct = accCorrect * 100.0 / math.max(1, topK.length),
+      accuracyTopK = topK.length.toLong,
       accuracyTopKCorrect = accCorrect,
-      nRecipes = nRecipes,
-      nFullyMappedRecipes = nFull,
-      maePerServingKcal = errRow.getDouble(0),
-      meanGoldKcalPerServing = errRow.getDouble(1))
+      nRecipes = row.getLong(0),
+      nFullyMappedRecipes = row.getLong(1),
+      maePerServingKcal = row.getDouble(2),
+      meanGoldKcalPerServing = row.getDouble(3))
   }
+
+  /** The §III result scalars as `ResultsJob` and `ResultsBench` print them, beside the paper's. */
+  def report(sf: Double, r: Results): String = Seq(
+    s"RESULTS (§III) at SF=$sf — paper value in [brackets]",
+    f"NER held-out F1:            ${r.nerHoldoutF1}%.4f  [0.95]",
+    f"NER 5-fold CV mean F1:      ${r.nerCvF1s.sum / r.nerCvF1s.size}%.4f  [0.95]  folds=${r.nerCvF1s.map(f => f"$f%.3f").mkString(",")}",
+    f"Unique ingredients:         ${r.nUniqueIngredients}",
+    f"Unique-ingredient match:    ${r.uniqueMatchRatePct}%.2f%%  [94.49%%]",
+    f"Modified≠vanilla matches:   ${r.divergenceSampled}/${r.divergenceSampleSize}  [227/1000]",
+    f"Match accuracy (top-5000):  ${r.accuracyTopKPct}%.1f%% (${r.accuracyTopKCorrect}/${r.accuracyTopK})  [71.6%% (3580/5000)]",
+    f"Recipes / fully mapped:     ${r.nRecipes} / ${r.nFullyMappedRecipes}  [118071 / 2482 evaluated]",
+    f"Per-serving calorie MAE:    ${r.maePerServingKcal}%.2f kcal  [36.42]",
+    f"Mean gold kcal/serving:     ${r.meanGoldKcalPerServing}%.1f",
+  ).mkString("\n")
 
   /** Per-recipe estimates at scale `sf` with a freshly trained model —
     * convenience for Figure 2 and the scaling bench.

@@ -49,18 +49,18 @@ object NerTrainer {
       transW(p)(t) += delta
     }
 
-    val rng      = new Random(seed)
-    val shuffled = data.toArray
-    val featCache = data.map(s => Array.tabulate(s.tokens.length)(i => NerFeatures.featuresAt(s.tokens, i)))
-    val cacheIdx  = data.zipWithIndex.toMap
+    val rng       = new Random(seed)
+    val sents     = data.toIndexedSeq
+    val featCache = sents.map(s => Array.tabulate(s.tokens.length)(i => NerFeatures.featuresAt(s.tokens, i)))
+    val order     = Array.range(0, sents.length)
 
     for (_ <- 1 to epochs) {
       // Fisher–Yates with the seeded RNG keeps runs deterministic.
-      var i = shuffled.length - 1
-      while (i > 0) { val j = rng.nextInt(i + 1); val tmp = shuffled(i); shuffled(i) = shuffled(j); shuffled(j) = tmp; i -= 1 }
+      var i = order.length - 1
+      while (i > 0) { val j = rng.nextInt(i + 1); val tmp = order(i); order(i) = order(j); order(j) = tmp; i -= 1 }
 
-      for (sent <- shuffled) {
-        val feats = featCache(cacheIdx(sent))
+      for (n <- order) {
+        val sent = sents(n); val feats = featCache(n)
         def emission(i: Int, t: Int): Double = {
           var s = 0.0; val fs = feats(i); var j = 0
           while (j < fs.length) { val w = emitW.getOrElse(fs(j), null); if (w != null) s += w(t); j += 1 }

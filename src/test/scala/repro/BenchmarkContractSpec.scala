@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.{JaccardMatcher, NutritionEstimator, UnitMatcher}
 import repro.data.{RecipeData, UsdaData}
+import repro.exp.Experiments
 
 /** The calls the pipeline benchmark (`perfbench/`) makes into the program,
   * made the same way at SF 0.001, so that a change to a signature, an
@@ -66,5 +67,18 @@ class BenchmarkContractSpec extends SparkSpec {
     assert(JaccardMatcher.scoreCandidates(uniq, ref).select("ingId").collect().length > uniq.count())
     val resolvedLines = perLine.filter(col("unitResolved")).select("lineNo").collect().length
     assert(resolvedLines > 0 && resolvedLines <= lines.length)
+  }
+
+  test("set-up and inputs: trainNer with named arguments, the corpus lines and their gold") {
+    val trained = Experiments.trainNer(spark, nPhrases = 300, epochs = 2, seed = 99)
+    assert(trained._3.size == 300)
+    assert(trained._1.tag(IndexedSeq("2", "cups", "milk")).length == 3)
+    val rows = RecipeData.ingredientLines(spark, 0.001, 1)
+      .select($"recipeId", $"lineNo", $"phrase", $"servings", $"trueNdbId")
+      .as[(Long, Int, String, Int, Long)].collect()
+    val gold = RecipeData.recipes(spark, 0.001, 1)
+      .select($"recipeId", $"goldKcalPerServing").as[(Long, Double)].collect().toMap
+    assert(rows.length == lines.length && rows.exists(_._5 != -1L))
+    assert(rows.map(_._1).toSet == gold.keySet)
   }
 }

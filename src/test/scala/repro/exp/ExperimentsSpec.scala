@@ -2,7 +2,9 @@ package repro.exp
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestModels}
-import repro.data.RecipeData
+import repro.core.NutritionEstimator
+import repro.data.{RecipeData, UsdaData}
+import repro.nlp.NerModel
 
 /** The experiment layer shared by jobs and benches, at unit-test scale. */
 class ExperimentsSpec extends SparkSpec {
@@ -59,15 +61,73 @@ class ExperimentsSpec extends SparkSpec {
     assert(model.tag(IndexedSeq("2", "cups", "milk")).head == "QUANTITY")
   }
 
+  test("trainNer leaves no persistent RDD behind") {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    Experiments.trainNer(spark, nPhrases = 600, epochs = 1, seed = 5)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
+  test("trainNer's model and holdout F1 are pinned, at test scale and at the production settings") {
+    def fingerprint(m: NerModel): Int =
+      (m.emitW.toSeq.sortBy(_._1).map { case (f, w) => (f, w.toSeq) }, m.transW.toSeq.map(_.toSeq)).##
+    Seq((600, 4, 5L, -976154283, 0.9948630136986302), (8800, 8, 99L, 1054895373, 0.9990843538972187))
+      .foreach { case (n, epochs, seed, fp, f1) =>
+        val (model, holdoutF1, _) = Experiments.trainNer(spark, n, epochs, seed)
+        assert((fingerprint(model), holdoutF1) == (fp, f1), s"trainNer($n, $epochs, $seed)")
+      }
+  }
+
+  /** Results at (SF 0.001, 600 NER phrases, 2 CV folds, seed 3), and how many persistent RDDs the call added. */
+  private lazy val (tiny, tinyPersisted) = {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val r      = Experiments.results(spark, sf = 0.001, nerPhrases = 600, cvFolds = 2, seed = 3)
+    (r, spark.sparkContext.getPersistentRDDs.size - before)
+  }
+
   test("results computes all §III scalars at tiny scale") {
-    val r = Experiments.results(spark, sf = 0.001, nerPhrases = 600, cvFolds = 2, seed = 3)
-    assert(r.nerCvF1s.length == 2)
-    assert(r.nUniqueIngredients > 0)
-    assert(r.uniqueMatchRatePct > 50.0 && r.uniqueMatchRatePct <= 100.0)
-    assert(r.divergenceSampleSize > 0 && r.divergenceSampled <= r.divergenceSampleSize)
-    assert(r.accuracyTopK > 0 && r.accuracyTopKCorrect <= r.accuracyTopK)
-    assert(r.nFullyMappedRecipes <= r.nRecipes)
-    assert(!r.maePerServingKcal.isNaN)
+    val r = tiny
+    assert(r.nerHoldoutF1 == 0.99830220713073)
+    assert(r.nerCvF1s == Seq(0.9882154882154882, 0.9966804979253112))
+    assert(r.nUniqueIngredients == 319)
+    assert(r.uniqueMatchRatePct == 305 * 100.0 / 319)
+    assert((r.divergenceSampled, r.divergenceSampleSize) == (20L, 319L))
+    // accuracyTopKCorrect and accuracyTopKPct rest on `mode`'s arbitrary pick
+    // among tied true foods, so only the top-K size is pinned.
+    assert(r.accuracyTopK == 305)
+    assert(r.accuracyTopKCorrect <= r.accuracyTopK)
+    assert((r.nRecipes, r.nFullyMappedRecipes) == (118L, 94L))
+    assert(math.abs(r.maePerServingKcal / 93.2196120384863 - 1) < 1e-9, r.maePerServingKcal)
+    assert(math.abs(r.meanGoldKcalPerServing / 669.8586188366203 - 1) < 1e-9, r.meanGoldKcalPerServing)
+  }
+
+  test("results leaves at most perLine's own NER cache persisted") {
+    assert(tinyPersisted <= 1, s"$tinyPersisted persistent RDDs added")
+  }
+
+  test("report prints the ten result lines") {
+    val lines = Experiments.report(0.001, tiny).linesIterator.toSeq
+    assert(lines.length == 10)
+    assert(lines.head == "RESULTS (§III) at SF=0.001 — paper value in [brackets]")
+    assert(lines(3) == "Unique ingredients:         319")
+    assert(lines(7) == "Recipes / fully mapped:     118 / 94  [118071 / 2482 evaluated]")
+  }
+
+  test("ingredientKeys: ndbId and freq per key agree with DuckDB over the same per-line rows") {
+    val lines = RecipeData.ingredientLines(spark, sf = 0.001, seed = 3)
+      .select("recipeId", "lineNo", "phrase", "servings", "trueNdbId")
+    val pl = NutritionEstimator.perLine(lines, TestModels.ner, UsdaData.foods(spark), UsdaData.weights(spark))
+      .select("name", "state", "temp", "df", "ndbId", "trueNdbId")
+    val rows = spark.createDataFrame(spark.sparkContext.parallelize(pl.collect().toSeq, 2), pl.schema)
+    val keys = Experiments.ingredientKeys(rows, seed = 3)
+    assert(keys.filter($"freq" > 0).count() > 100)
+    // DuckDB groups by the four key columns alone, so a key whose ndbId
+    // varied would be two rows on the Spark side and one here.
+    repro.Oracle.assertEquivalent(
+      keys.select("name", "state", "temp", "df", "ndbId", "freq"),
+      """SELECT name, state, temp, df, min(ndbId) AS ndbId,
+        |       count(CASE WHEN trueNdbId <> '-1' THEN 1 END) AS freq
+        |FROM lines GROUP BY name, state, temp, df""".stripMargin,
+      "lines" -> rows)
   }
 
   test("render produces an aligned text table") {
