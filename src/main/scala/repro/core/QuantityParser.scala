@@ -33,25 +33,4 @@ object QuantityParser {
     val den = d.toDouble
     if (den == 0) None else Some(n.toDouble / den)
   }
-
-  /** Render a double the way recipe text does, for the synthetic generator:
-    * 0.5 → "1/2", 2.5 → "2 1/2", 3.0 → "3".
-    */
-  def render(q: Double): String = {
-    val whole = q.toLong
-    val frac  = q - whole
-    val fracStr = frac match {
-      case f if math.abs(f - 0.5) < 1e-9   => "1/2"
-      case f if math.abs(f - 0.25) < 1e-9  => "1/4"
-      case f if math.abs(f - 0.75) < 1e-9  => "3/4"
-      case f if math.abs(f - 1.0/3) < 1e-9 => "1/3"
-      case f if math.abs(f - 2.0/3) < 1e-9 => "2/3"
-      case f if math.abs(f - 0.125) < 1e-9 => "1/8"
-      case f if f < 1e-9                   => ""
-      case f                               => return q.toString
-    }
-    if (fracStr.isEmpty) whole.toString
-    else if (whole == 0) fracStr
-    else s"$whole $fracStr"
-  }
 }

@@ -111,9 +111,6 @@ object UnitTables {
   /** True when the standard unit is volumetric and convertible. */
   def isVolumetric(stdUnit: String): Boolean = volumeMl.contains(stdUnit)
 
-  /** True when the standard unit is an exact mass unit. */
-  def isMass(stdUnit: String): Boolean = massGrams.contains(stdUnit)
-
   /** Convert grams known for one volumetric unit into grams for another,
     * using the constant volume ratio (density cancels): e.g. butter has
     * cup = 227 g, so teaspoon = 227 × (4.929 / 236.588) ≈ 4.73 g.

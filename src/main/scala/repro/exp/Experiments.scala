@@ -210,7 +210,7 @@ object Experiments {
   def report(sf: Double, r: Results): String = Seq(
     s"RESULTS (§III) at SF=$sf — paper value in [brackets]",
     f"NER held-out F1:            ${r.nerHoldoutF1}%.4f  [0.95]",
-    f"NER 5-fold CV mean F1:      ${r.nerCvF1s.sum / r.nerCvF1s.size}%.4f  [0.95]  folds=${r.nerCvF1s.map(f => f"$f%.3f").mkString(",")}",
+    f"NER ${r.nerCvF1s.size}-fold CV mean F1:      ${r.nerCvF1s.sum / r.nerCvF1s.size}%.4f  [0.95]  folds=${r.nerCvF1s.map(f => f"$f%.3f").mkString(",")}",
     f"Unique ingredients:         ${r.nUniqueIngredients}",
     f"Unique-ingredient match:    ${r.uniqueMatchRatePct}%.2f%%  [94.49%%]",
     f"Modified≠vanilla matches:   ${r.divergenceSampled}/${r.divergenceSampleSize}  [227/1000]",

@@ -61,8 +61,4 @@ object Lemmatizer {
     else if (w.endsWith("s") && !w.endsWith("'s")) w.dropRight(1)        // apples→apple
     else w
   }
-
-  /** Lemmatize every token of a phrase (whitespace-tokenized). */
-  def lemmaPhrase(phrase: String): String =
-    phrase.split("\\s+").filter(_.nonEmpty).map(lemma).mkString(" ")
 }

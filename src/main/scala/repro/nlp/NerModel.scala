@@ -12,26 +12,28 @@ final class NerModel(
     val transW: Array[Array[Double]],
 ) extends Serializable {
 
-  private val tags = NerFeatures.Tags
-  private val k    = tags.length
-
   /** Tag a tokenized phrase. */
   def tag(tokens: IndexedSeq[String]): Vector[String] = {
     if (tokens.isEmpty) return Vector.empty
     val feats = Array.tabulate(tokens.length)(i => NerFeatures.featuresAt(tokens, i))
-    def emission(i: Int, t: Int): Double = {
-      var s  = 0.0
-      val fs = feats(i)
-      var j  = 0
+    Viterbi.decode(NerModel.emissions(feats, emitW), transW).iterator.map(NerFeatures.Tags).toVector
+  }
+}
+
+object NerModel {
+
+  /** One emission row per token: the per-tag weights of the token's features,
+    * summed in feature order. Features without weights add nothing.
+    */
+  def emissions(feats: Array[Array[String]], weights: collection.Map[String, Array[Double]]): Array[Array[Double]] =
+    feats.map { fs =>
+      val row = new Array[Double](NerFeatures.Tags.length)
+      var j   = 0
       while (j < fs.length) {
-        val w = emitW.getOrElse(fs(j), null)
-        if (w != null) s += w(t)
+        val w = weights.getOrElse(fs(j), null)
+        if (w != null) { var t = 0; while (t < row.length) { row(t) += w(t); t += 1 } }
         j += 1
       }
-      s
+      row
     }
-    def transition(prev: Int, cur: Int): Double =
-      if (prev < 0) transW(k)(cur) else transW(prev)(cur)
-    Viterbi.decode(tokens.length, tags, emission, transition)
-  }
 }

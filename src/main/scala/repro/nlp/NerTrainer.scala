@@ -52,6 +52,7 @@ object NerTrainer {
     val rng       = new Random(seed)
     val sents     = data.toIndexedSeq
     val featCache = sents.map(s => Array.tabulate(s.tokens.length)(i => NerFeatures.featuresAt(s.tokens, i)))
+    val goldCache = sents.map(_.tags.map(tagIdx).toArray)
     val order     = Array.range(0, sents.length)
 
     for (_ <- 1 to epochs) {
@@ -60,24 +61,18 @@ object NerTrainer {
       while (i > 0) { val j = rng.nextInt(i + 1); val tmp = order(i); order(i) = order(j); order(j) = tmp; i -= 1 }
 
       for (n <- order) {
-        val sent = sents(n); val feats = featCache(n)
-        def emission(i: Int, t: Int): Double = {
-          var s = 0.0; val fs = feats(i); var j = 0
-          while (j < fs.length) { val w = emitW.getOrElse(fs(j), null); if (w != null) s += w(t); j += 1 }
-          s
-        }
-        def transition(p: Int, t: Int): Double = if (p < 0) transW(k)(t) else transW(p)(t)
-        val pred = Viterbi.decode(sent.tokens.length, tags, emission, transition)
+        val feats = featCache(n); val gold = goldCache(n)
+        val pred  = Viterbi.decode(NerModel.emissions(feats, emitW), transW)
 
-        if (pred != sent.tags) {
+        if (!java.util.Arrays.equals(pred, gold)) {
           var i = 0
-          while (i < sent.tokens.length) {
-            val g = tagIdx(sent.tags(i)); val p = tagIdx(pred(i))
+          while (i < gold.length) {
+            val g = gold(i); val p = pred(i)
             if (g != p) {
               feats(i).foreach { f => bumpEmit(f, g, 1.0); bumpEmit(f, p, -1.0) }
             }
-            val gPrev = if (i == 0) k else tagIdx(sent.tags(i - 1))
-            val pPrev = if (i == 0) k else tagIdx(pred(i - 1))
+            val gPrev = if (i == 0) k else gold(i - 1)
+            val pPrev = if (i == 0) k else pred(i - 1)
             if (gPrev != pPrev || g != p) { bumpTrans(gPrev, g, 1.0); bumpTrans(pPrev, p, -1.0) }
             i += 1
           }

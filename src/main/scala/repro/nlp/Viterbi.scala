@@ -2,34 +2,27 @@ package repro.nlp
 
 /** Exact first-order Viterbi decoding over a fixed tag set.
   *
-  * Scores are additive: emission(i, tag) + transition(prevTag, tag). The
-  * decoder is model-agnostic — callers supply both score functions — so it is
-  * reused by training (decode under current weights) and inference.
+  * Scores are additive: em(i)(tag) + trans(prevTag)(tag), where row k of
+  * `trans` scores the first tag. Training and inference both decode the
+  * emission rows of [[NerModel.emissions]] under the model's transitions.
   */
 object Viterbi {
 
-  /** Decode the highest-scoring tag sequence for a sentence of length `n`.
+  /** Tag indices of the highest-scoring path; ties go to the lowest index.
     *
-    * @param n          sentence length
-    * @param tags       tag inventory
-    * @param emission   (position, tagIndex) => score
-    * @param transition (prevTagIndex or -1 for start, tagIndex) => score
+    * @param em    n x k emission scores, one row per position (n > 0)
+    * @param trans (k+1) x k transition scores; row k is the start row
     */
-  def decode(
-      n: Int,
-      tags: IndexedSeq[String],
-      emission: (Int, Int) => Double,
-      transition: (Int, Int) => Double,
-  ): Vector[String] = {
+  def decode(em: Array[Array[Double]], trans: Array[Array[Double]]): Array[Int] = {
+    val n     = em.length
     require(n > 0, "empty sentence")
-    val k    = tags.length
+    val k     = trans(0).length
     val delta = Array.ofDim[Double](n, k)
     val back  = Array.ofDim[Int](n, k)
 
     var t = 0
     while (t < k) {
-      delta(0)(t) = emission(0, t) + transition(-1, t)
-      back(0)(t)  = -1
+      delta(0)(t) = em(0)(t) + trans(k)(t)
       t += 1
     }
     var i = 1
@@ -40,11 +33,11 @@ object Viterbi {
         var bestPrev  = 0
         var prev      = 0
         while (prev < k) {
-          val s = delta(i - 1)(prev) + transition(prev, cur)
+          val s = delta(i - 1)(prev) + trans(prev)(cur)
           if (s > bestScore) { bestScore = s; bestPrev = prev }
           prev += 1
         }
-        delta(i)(cur) = bestScore + emission(i, cur)
+        delta(i)(cur) = bestScore + em(i)(cur)
         back(i)(cur)  = bestPrev
         cur += 1
       }
@@ -62,6 +55,6 @@ object Viterbi {
     path(n - 1) = bestLast
     i = n - 1
     while (i > 0) { path(i - 1) = back(i)(path(i)); i -= 1 }
-    path.iterator.map(tags).toVector
+    path
   }
 }

@@ -19,6 +19,10 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     "2 1/2"  -> 2.5,      // paper example
     "1 1/2"  -> 1.5,
     "1 1/4"  -> 1.25,
+    "7 3/4"  -> 7.75,
+    "3 1/8"  -> 3.125,
+    "9 1/2"  -> 9.5,
+    "2/3"    -> 2.0 / 3,
     "2-4"    -> 3.0,      // paper example: averaged
     "1-2"    -> 1.5,
     "2 - 4"  -> 3.0,
@@ -52,25 +56,6 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
   test("multi-token quantity falls back to the leading number") {
     // "500 g or 1 cup" style NER spans can hand over "500 1" — keep 500.
     assert(QuantityParser.parse("500 1").contains(500.0))
-  }
-
-  test("render produces recipe-style text") {
-    assert(QuantityParser.render(0.5) == "1/2")
-    assert(QuantityParser.render(2.5) == "2 1/2")
-    assert(QuantityParser.render(3.0) == "3")
-    assert(QuantityParser.render(0.25) == "1/4")
-    assert(QuantityParser.render(1.25) == "1 1/4")
-  }
-
-  test("property: render/parse round-trips on representable values") {
-    val gen = for {
-      whole <- Gen.choose(0, 9)
-      frac  <- Gen.oneOf(0.0, 0.5, 0.25, 0.75, 0.125)
-      if whole + frac > 0
-    } yield whole + frac
-    checkProp(Prop.forAll(gen) { v =>
-      QuantityParser.parse(QuantityParser.render(v)).exists(p => math.abs(p - v) < 1e-9)
-    })
   }
 
   test("property: plain integers always parse to themselves") {

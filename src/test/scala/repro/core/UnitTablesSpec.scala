@@ -85,12 +85,10 @@ class UnitTablesSpec extends AnyFunSuite with PropChecks {
     assert(UnitTables.massGrams("kilogram") == 1000.0)
   }
 
-  test("isVolumetric / isMass classify correctly") {
+  test("isVolumetric classifies correctly") {
     assert(UnitTables.isVolumetric("cup"))
     assert(UnitTables.isVolumetric("teaspoon"))
     assert(!UnitTables.isVolumetric("pound"))
-    assert(UnitTables.isMass("pound"))
-    assert(!UnitTables.isMass("cup"))
     assert(!UnitTables.isVolumetric("size"))
   }
 

@@ -70,10 +70,14 @@ class ExperimentsSpec extends SparkSpec {
   test("trainNer's model and holdout F1 are pinned, at test scale and at the production settings") {
     def fingerprint(m: NerModel): Int =
       (m.emitW.toSeq.sortBy(_._1).map { case (f, w) => (f, w.toSeq) }, m.transW.toSeq.map(_.toSeq)).##
-    Seq((600, 4, 5L, -976154283, 0.9948630136986302), (8800, 8, 99L, 1054895373, 0.9990843538972187))
-      .foreach { case (n, epochs, seed, fp, f1) =>
-        val (model, holdoutF1, _) = Experiments.trainNer(spark, n, epochs, seed)
-        assert((fingerprint(model), holdoutF1) == (fp, f1), s"trainNer($n, $epochs, $seed)")
+    // The last value hashes the model's tags over its whole labeled corpus,
+    // which pins inference as well as the training decode.
+    Seq((600, 4, 5L, -976154283, 0.9948630136986302, -1753535866),
+        (8800, 8, 99L, 1054895373, 0.9990843538972187, -905064210))
+      .foreach { case (n, epochs, seed, fp, f1, tagged) =>
+        val (model, holdoutF1, corpus) = Experiments.trainNer(spark, n, epochs, seed)
+        assert((fingerprint(model), holdoutF1, corpus.map(l => model.tag(l.tokens)).##) == (fp, f1, tagged),
+          s"trainNer($n, $epochs, $seed)")
       }
   }
 
@@ -108,6 +112,7 @@ class ExperimentsSpec extends SparkSpec {
     val lines = Experiments.report(0.001, tiny).linesIterator.toSeq
     assert(lines.length == 10)
     assert(lines.head == "RESULTS (§III) at SF=0.001 — paper value in [brackets]")
+    assert(lines(2).startsWith("NER 2-fold CV mean F1:"), lines(2))
     assert(lines(3) == "Unique ingredients:         319")
     assert(lines(7) == "Recipes / fully mapped:     118 / 94  [118071 / 2482 evaluated]")
   }
