@@ -46,7 +46,7 @@ object JaccardMatcher {
     val index = ReferenceIndex.collect(Some(reference), None)
     val candidatesUdf = udf { (name: String, state: String, temp: String, df: String) =>
       index.candidates(name, state, temp, df).map(c => (c, c.jstar, c.jvanilla))
-    }
+    }.withName("candidates")
     ingredients
       .select(col("ingId"), explode(candidatesUdf(KeyColumns.map(col): _*)).as("c"))
       .select(col("ingId"), col("c._1.*"), col("c._2").as("jstar"), col("c._3").as("jvanilla"))
@@ -67,7 +67,7 @@ object JaccardMatcher {
     val bestUdf = udf { (name: String, state: String, temp: String, df: String) =>
       index.best(name, state, temp, df, metric).toSeq
         .map(c => Best(c.ndbId, c.score(metric), c.inter, c.aSize, c.bestPriority))
-    }
+    }.withName("best")
     ingredients
       .select(passThrough.map(col) :+ explode(bestUdf(KeyColumns.map(col): _*)).as("m"): _*)
       .select(passThrough.map(col) :+ col("m.*"): _*)

@@ -73,7 +73,7 @@ object NerPipeline {
     * to a DataFrame containing a `phrase` column.
     */
   def annotate(model: NerModel, phrases: DataFrame): DataFrame = {
-    val extractUdf = udf { (phrase: String) => extractPhrase(model, phrase) }
+    val extractUdf = udf { (phrase: String) => extractPhrase(model, phrase) }.withName("extract")
     phrases
       .withColumn("ext", extractUdf(col("phrase")))
       .select(col("*"), col("ext.*"))

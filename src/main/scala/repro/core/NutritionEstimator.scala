@@ -34,7 +34,7 @@ object NutritionEstimator {
     val index     = ReferenceIndex.collect(Some(foods), Some(weights))
     val annotated = NerPipeline.annotate(model, lines).cache()
     val keys      = JaccardMatcher.KeyColumns
-    val foodUdf   = udf { (ndbId: java.lang.Long) => Option(ndbId).flatMap(id => index.foods.get(id)) }
+    val foodUdf   = udf { (ndbId: java.lang.Long) => Option(ndbId).flatMap(id => index.foods.get(id)) }.withName("food")
 
     val matched = JaccardMatcher
       .matchBest(annotated.select(keys.map(col): _*).distinct(), index, JaccardMatcher.Modified, keys)

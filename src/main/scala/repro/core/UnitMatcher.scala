@@ -23,7 +23,8 @@ import org.apache.spark.sql.functions._
   *     retry steps 2–4 and 6.
   *
   * [[firstPass]] and [[finish]] are the chain's only definition; [[resolve]]
-  * applies them through UDFs around the corpus-wide statistic of step 7.
+  * applies them through UDFs around the corpus-wide statistic of step 7, one
+  * `mode` aggregate per name with ties going to the first unit A–Z.
   */
 object UnitMatcher {
 
@@ -87,18 +88,16 @@ object UnitMatcher {
   def resolve(lines: DataFrame, index: ReferenceIndex): DataFrame = {
     val firstUdf = udf { (quantity: String, unit: String, size: String, ndbId: java.lang.Long) =>
       firstPass(index, quantity, unit, size, Option(ndbId).map(_.longValue))
-    }
+    }.withName("firstPass")
     val finishUdf = udf { (p: FirstPass, ndbId: java.lang.Long, modeUnit: String) =>
       finish(index, Option(ndbId).map(_.longValue), p, modeUnit)
-    }
+    }.withName("finish")
     val p1 = lines.withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
 
-    // Most-frequent successfully-resolved unit per name (ties: first A–Z).
-    val modes = p1
-      .filter(col("p1.stdGramsPerUnit").isNotNull && col("p1.stdUnit") =!= "")
-      .groupBy(col("name"), col("p1.stdUnit").as("stdUnit")).agg(count(lit(1)).as("cnt"))
-      .groupBy(col("name"))
-      .agg(min(struct((-col("cnt")).as("negCnt"), col("stdUnit"))).getField("stdUnit").as("modeUnit"))
+    // One mode aggregate per name over the units the first pass resolved
+    // (mode skips the nulls; ties go to the first unit A–Z).
+    val modes = p1.groupBy("name")
+      .agg(mode(when(col("p1.stdGramsPerUnit").isNotNull, col("p1.stdUnit")), deterministic = true).as("modeUnit"))
 
     p1
       .join(modes, Seq("name"), "left")

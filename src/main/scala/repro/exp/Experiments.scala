@@ -57,7 +57,7 @@ object Experiments {
       .withColumn("id", monotonically_increasing_id())
       .cache()
     // Paper split: 6612 train / 2188 test ≈ 0.751.
-    val split = CorpusSelector.split(spark, corpus.toDF(), k = 8, trainFrac = 0.751, seed = seed)
+    val split = CorpusSelector.split(corpus.toDF(), k = 8, trainFrac = 0.751, seed = seed)
       .select($"split", $"tokens", $"tags").as[(String, Seq[String], Seq[String])].collect()
       .map { case (s, tokens, tags) => (s, NerTrainer.Labeled(tokens.toIndexedSeq, tags.toIndexedSeq)) }
     corpus.unpersist()

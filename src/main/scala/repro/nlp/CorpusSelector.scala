@@ -2,7 +2,7 @@ package repro.nlp
 
 import org.apache.spark.ml.clustering.KMeans
 import org.apache.spark.ml.linalg.Vectors
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -18,7 +18,7 @@ object CorpusSelector {
     * @param phrases DataFrame with columns `id` (long) and `phrase` (string)
     * @param k       number of KMeans clusters
     */
-  def cluster(spark: SparkSession, phrases: DataFrame, k: Int = 8, seed: Long = 42): DataFrame = {
+  def cluster(phrases: DataFrame, k: Int = 8, seed: Long = 42): DataFrame = {
     val toVec = udf { (phrase: String) =>
       Vectors.dense(PosTagger.frequencyVector(phrase.split("\\s+").toIndexedSeq))
     }
@@ -33,10 +33,9 @@ object CorpusSelector {
     * deterministic hash and the first `trainFrac` go to "train", the rest to
     * "test" — a stratified split over structural diversity.
     */
-  def split(spark: SparkSession, phrases: DataFrame, k: Int = 8,
-            trainFrac: Double = 0.75, seed: Long = 42): DataFrame = {
+  def split(phrases: DataFrame, k: Int = 8, trainFrac: Double = 0.75, seed: Long = 42): DataFrame = {
     require(trainFrac > 0 && trainFrac < 1, s"trainFrac must be in (0,1): $trainFrac")
-    val clustered = cluster(spark, phrases, k, seed)
+    val clustered = cluster(phrases, k, seed)
     val w      = Window.partitionBy(col("cluster")).orderBy(xxhash64(col("id"), lit(seed)))
     val wCount = Window.partitionBy(col("cluster"))
     clustered

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestModels}
 import repro.data.{RecipeData, UsdaData}
@@ -15,6 +18,20 @@ class NutritionEstimatorSpec extends SparkSpec {
     .select("recipeId", "lineNo", "phrase", "servings").cache()
   private lazy val lineEst = NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights).cache()
   private lazy val recipeEst = NutritionEstimator.perRecipe(lineEst).cache()
+
+  test("a pass plans 7 shuffles and calls firstPass in 2 plan nodes") {
+    val plan = NutritionEstimator.perRecipe(NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights))
+      .queryExecution.executedPlan match { case a: AdaptiveSparkPlanExec => a.initialPlan }
+    val shuffles = plan.collect { case e: ShuffleExchangeExec => e }.size
+    val firstPassNodes = plan.collect {
+      case n if n.expressions.exists(_.exists {
+        case u: ScalaUDF => u.udfName.contains("firstPass")
+        case _           => false
+      }) => n
+    }.size
+    assert(shuffles == 7, plan.treeString)
+    assert(firstPassNodes == 2, plan.treeString)
+  }
 
   test("every input line appears exactly once in the per-line output") {
     assert(lineEst.count() == corpus.count())

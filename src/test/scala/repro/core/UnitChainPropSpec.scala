@@ -8,7 +8,7 @@ import repro.data.UsdaData
 
 /** The §II-C chain on hostile input, without Spark: [[UnitMatcher.firstPass]]
   * and [[UnitMatcher.finish]] never throw and never produce an implausible
-  * line.
+  * line, and a first-pass weight always comes with a non-empty unit.
   */
 class UnitChainPropSpec extends AnyFunSuite with PropChecks {
 
@@ -45,6 +45,8 @@ class UnitChainPropSpec extends AnyFunSuite with PropChecks {
       val p = UnitMatcher.firstPass(TestModels.index, q, u, s, id)
       val r = UnitMatcher.finish(TestModels.index, id, p, mode)
       val ests = Seq(r.estKcal, r.estProtein, r.estFat, r.estCarb)
+      // A first-pass weight always has a unit, so the fallback statistic needs no test for "".
+      p.stdGramsPerUnit.forall(_ => p.stdUnit.nonEmpty) &&
       r.grams.forall(g => !g.isNaN && !g.isInfinite && g >= 0 && g <= UnitMatcher.MaxGramsPerLine) &&
         r.grams.isDefined == r.resolvedUnit.isDefined && r.grams.isDefined == r.gramsPerUnit.isDefined &&
         ests.forall(_.isEmpty || r.grams.isDefined)

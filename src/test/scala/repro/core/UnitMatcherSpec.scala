@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.{SparkSpec, TestModels}
 import repro.data.UsdaData
 
@@ -174,6 +175,41 @@ class UnitMatcherSpec extends SparkSpec {
     val r = UnitMatcher.finish(TestModels.index, None, p, null)
     assert(r.grams.contains(100.0) && r.resolvedUnit.contains("gram"))
     assert(r.estKcal.isEmpty) // no food, no nutrients
+  }
+
+  test("resolve falls back to each name's DuckDB mode of first-pass units (oracle)") {
+    val df = Seq[(Int, String, String, String, java.lang.Long)](
+      // a: 2–2 cup/tablespoon tie, so the unit-less lines take cup (first A–Z).
+      (1, "a", "1", "cup", 1L), (2, "a", "2", "cup", 1L), (3, "a", "1", "tbsp", 1L), (4, "a", "2", "tbsp", 1L),
+      (5, "a", "1", "", 1L), (6, "a", "3", "", 1L),
+      // b: tablespoon wins on count although cup comes first A–Z.
+      (7, "b", "1", "tbsp", 1L), (8, "b", "2", "tbsp", 1L), (9, "b", "3", "tbsp", 1L), (10, "b", "1", "cup", 1L),
+      (11, "b", "2", "", 1L),
+      // c: its only unit fails the 5 kg check, so it has no mode.
+      (12, "c", "500", "cup", 1L), (13, "c", "600", "cup", 1L), (14, "c", "1", "", 1L),
+      // d: no line resolves.
+      (15, "d", "1", "", null), (16, "d", "2", "cup", null))
+      .toDF("lineNo", "name", "quantity", "unit", "ndbId").withColumn("size", lit(""))
+    val out      = UnitMatcher.resolve(df, weights).select("lineNo", "name", "stdUnit", "resolvedUnit").cache()
+    val fallback = out.filter($"resolvedUnit".isNotNull && !($"resolvedUnit" <=> $"stdUnit"))
+      .select("lineNo", "resolvedUnit")
+    // A line resolves on its own unit or on the fallback, never on stdUnit
+    // after failing with it (the same 5 kg check), so resolvedUnit = stdUnit
+    // marks the lines whose first pass resolved.
+    repro.Oracle.assertEquivalent(fallback,
+      """WITH counts AS (
+        |  SELECT name, stdUnit, COUNT(*) AS n FROM resolved
+        |  WHERE resolvedUnit = stdUnit GROUP BY name, stdUnit),
+        |modes AS (
+        |  SELECT name, stdUnit AS modeUnit,
+        |         ROW_NUMBER() OVER (PARTITION BY name ORDER BY n DESC, stdUnit ASC) AS rk
+        |  FROM counts)
+        |SELECT r.lineNo, m.modeUnit AS resolvedUnit
+        |FROM resolved r LEFT JOIN modes m ON m.name = r.name AND m.rk = 1
+        |WHERE r.resolvedUnit IS NOT NULL AND r.resolvedUnit IS DISTINCT FROM r.stdUnit""".stripMargin,
+      "resolved" -> out)
+    assert(fallback.select("lineNo").as[Int].collect().sorted.toSeq == Seq(5, 6, 11))
+    out.unpersist()
   }
 
   test("mode computation matches DuckDB (oracle)") {
