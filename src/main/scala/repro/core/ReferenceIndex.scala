@@ -48,11 +48,7 @@ final class ReferenceIndex private (
     Option(stdUnit).flatMap { u =>
       UnitTables.massGrams.get(u)
         .orElse(ndbId.flatMap(id => gramsPerUnit.get((id, u))))
-        .orElse(for {
-          (vu, vg) <- ndbId.flatMap(firstVolumetric.get)
-          target   <- UnitTables.volumeMl.get(u)
-          known    <- UnitTables.volumeMl.get(vu)
-        } yield vg * (target / known)) // ratio first, as the grams were always computed
+        .orElse(ndbId.flatMap(firstVolumetric.get).flatMap { case (vu, vg) => UnitTables.convertVolumetric(vu, vg, u) })
     }
 }
 

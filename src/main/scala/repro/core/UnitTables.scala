@@ -119,5 +119,5 @@ object UnitTables {
     for {
       kv <- volumeMl.get(knownUnit)
       tv <- volumeMl.get(targetUnit)
-    } yield knownGrams * tv / kv
+    } yield knownGrams * (tv / kv)
 }

@@ -262,16 +262,19 @@ object RecipeData {
   // Public generators
   // -------------------------------------------------------------------
 
+  /** The ingredient lines of recipe `recipeId`, a pure function of (recipeId, seed). */
+  def recipe(recipeId: Long, seed: Long): Seq[IngredientLine] = {
+    val rng      = new Random(seed * 1000003L + recipeId)
+    val servings = 2 + rng.nextInt(7)
+    val nLines   = 5 + rng.nextInt(8)
+    (1 to nLines).map(i => genLine(recipeId, i, servings, rng))
+  }
+
   /** All ingredient lines of a synthetic corpus at scale factor `sf`. */
   def ingredientLines(spark: SparkSession, sf: Double, seed: Long = 7): Dataset[IngredientLine] = {
     import spark.implicits._
     val nRecipes = math.max(1L, (RecipesPerSf * sf).toLong)
-    spark.range(nRecipes).as[Long].flatMap { recipeId =>
-      val rng      = new Random(seed * 1000003L + recipeId)
-      val servings = 2 + rng.nextInt(7)
-      val nLines   = 5 + rng.nextInt(8)
-      (1 to nLines).map(i => genLine(recipeId, i, servings, rng))
-    }
+    spark.range(nRecipes).as[Long].flatMap(recipe(_, seed))
   }
 
   /** Recipe-level truth and gold labels: total/per-serving true calories and
@@ -287,12 +290,9 @@ object RecipeData {
   }
 
   /** A labeled NER corpus of `n` phrases (tokens + gold tags), standing in
-    * for the paper's manually tagged 6612+2188 phrases.
+    * for the paper's manually tagged 6612+2188 phrases: the first `n` lines
+    * of recipes 0, 1, 2, … — the first `n` rows of `ingredientLines`.
     */
-  def labeledCorpus(spark: SparkSession, n: Int, seed: Long = 99): Dataset[IngredientLine] = {
-    import spark.implicits._
-    // Overshoot (recipes average ~8.5 lines; assume 6) and trim to exactly n.
-    val sf = n.toDouble / (RecipesPerSf * 6.0)
-    ingredientLines(spark, sf, seed).limit(n)
-  }
+  def labeledCorpus(n: Int, seed: Long = 99): IndexedSeq[IngredientLine] =
+    Iterator.iterate(0L)(_ + 1).flatMap(recipe(_, seed)).take(n).toIndexedSeq
 }

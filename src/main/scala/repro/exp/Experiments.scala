@@ -48,21 +48,17 @@ object Experiments {
 
   /** Train the production NER model: generate a labeled corpus, select
     * train/test via POS-vector clustering (§II-A), train on the train split.
-    * Returns the model plus the held-out test F1.
+    * Plain Scala on the driver, except the KMeans fit. Returns the model, the
+    * held-out test F1 and the corpus as train ++ test.
     */
   def trainNer(spark: SparkSession, nPhrases: Int = 8800, epochs: Int = 8,
                seed: Long = 99): (NerModel, Double, Seq[NerTrainer.Labeled]) = {
-    import spark.implicits._
-    val corpus = RecipeData.labeledCorpus(spark, nPhrases, seed)
-      .withColumn("id", monotonically_increasing_id())
-      .cache()
+    val corpus = RecipeData.labeledCorpus(nPhrases, seed)
+      .map(l => NerTrainer.Labeled(l.tokens.toIndexedSeq, l.tags.toIndexedSeq))
     // Paper split: 6612 train / 2188 test ≈ 0.751.
-    val split = CorpusSelector.split(corpus.toDF(), k = 8, trainFrac = 0.751, seed = seed)
-      .select($"split", $"tokens", $"tags").as[(String, Seq[String], Seq[String])].collect()
-      .map { case (s, tokens, tags) => (s, NerTrainer.Labeled(tokens.toIndexedSeq, tags.toIndexedSeq)) }
-    corpus.unpersist()
-    val train = split.collect { case ("train", l) => l }.toSeq
-    val test  = split.collect { case ("test", l) => l }.toSeq
+    val (trainIds, testIds) = CorpusSelector.split(spark, corpus.map(_.tokens), k = 8, trainFrac = 0.751, seed = seed)
+    val train = trainIds.map(corpus)
+    val test  = testIds.map(corpus)
     val model = NerTrainer.train(train, epochs, seed)
     val f1    = NerTrainer.evaluate(model, test).f1
     (model, f1, train ++ test)

@@ -6,10 +6,9 @@ import repro.nlp.{NerModel, NerTrainer}
 
 /** Shared trained NER model and reference index for test suites (one of each per JVM). */
 object TestModels {
-  /** Trained on ~1.5k synthetic labeled phrases — small but representative. */
+  /** Trained on 1.5k synthetic labeled phrases, without Spark — small but representative. */
   lazy val ner: NerModel = {
-    val spark = SparkSpec.shared
-    val labeled = RecipeData.labeledCorpus(spark, 1500, seed = 99).collect().toSeq
+    val labeled = RecipeData.labeledCorpus(1500, seed = 99)
       .map(l => NerTrainer.Labeled(l.tokens.toIndexedSeq, l.tags.toIndexedSeq))
     NerTrainer.train(labeled, epochs = 6, seed = 42)
   }

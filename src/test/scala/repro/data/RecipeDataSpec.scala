@@ -139,8 +139,19 @@ class RecipeDataSpec extends SparkSpec {
   }
 
   test("labeled corpus yields the requested number of phrases") {
-    val corpus = RecipeData.labeledCorpus(spark, 300, seed = 99)
-    assert(corpus.count() == 300)
+    assert(RecipeData.labeledCorpus(300, seed = 99).size == 300)
+  }
+
+  test("labeled corpus is exactly the first n generated lines, for every n up to 60") {
+    // At least 20 recipes of 5 or more lines each: more than 60 lines.
+    Seq(3L, 5L, 99L).foreach { seed =>
+      val all = RecipeData.ingredientLines(spark, 20.5 / RecipeData.RecipesPerSf, seed).collect().toSeq
+      assert(all.size >= 60)
+      (1 to 60).foreach { n =>
+        val corpus = RecipeData.labeledCorpus(n, seed)
+        assert(corpus.size == n && corpus == all.take(n), s"labeledCorpus($n, $seed)")
+      }
+    }
   }
 
   test("per-recipe aggregation matches DuckDB (oracle)") {
