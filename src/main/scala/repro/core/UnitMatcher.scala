@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Units matching and gram resolution (§II-C).
@@ -24,7 +25,7 @@ import org.apache.spark.sql.functions._
   *
   * [[firstPass]] and [[finish]] are the chain's only definition; [[resolve]]
   * applies them through UDFs around the corpus-wide statistic of step 7, one
-  * `mode` aggregate per name with ties going to the first unit A–Z.
+  * `mode` window over `name` with ties going to the first unit A–Z.
   */
 object UnitMatcher {
 
@@ -77,9 +78,9 @@ object UnitMatcher {
     *                (textual), unit (raw), size (size word or ""), ndbId
     *                (matched food, nullable)
     * @param weights USDA gram-weight table: ndbId, seq, amount, unit, grams
-    * @return input plus qty, stdUnit, resolvedUnit, gramsPerUnit, grams,
-    *         estKcal, estProtein, estFat, estCarb (null without foods in the
-    *         index), unitResolved
+    * @return name, the other input columns, then qty, stdUnit,
+    *         resolvedUnit, gramsPerUnit, grams, estKcal, estProtein, estFat,
+    *         estCarb (null without foods in the index), unitResolved
     */
   def resolve(lines: DataFrame, weights: DataFrame): DataFrame =
     resolve(lines, ReferenceIndex.collect(None, Some(weights)))
@@ -92,18 +93,16 @@ object UnitMatcher {
     val finishUdf = udf { (p: FirstPass, ndbId: java.lang.Long, modeUnit: String) =>
       finish(index, Option(ndbId).map(_.longValue), p, modeUnit)
     }.withName("finish")
-    val p1 = lines.withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
+    // Each name's mode over the units the first pass resolved, as a window
+    // over `name` (mode skips the nulls; ties go to the first unit A–Z).
+    val modeUnit = mode(when(col("p1.stdGramsPerUnit").isNotNull, col("p1.stdUnit")), deterministic = true)
+      .over(Window.partitionBy("name"))
+    val inputs = col("name") +: lines.columns.filter(_ != "name").map(col)
 
-    // One mode aggregate per name over the units the first pass resolved
-    // (mode skips the nulls; ties go to the first unit A–Z).
-    val modes = p1.groupBy("name")
-      .agg(mode(when(col("p1.stdGramsPerUnit").isNotNull, col("p1.stdUnit")), deterministic = true).as("modeUnit"))
-
-    p1
-      .join(modes, Seq("name"), "left")
-      .withColumn("r", finishUdf(col("p1"), col("ndbId"), col("modeUnit")))
-      .select(col("*"), col("p1.qty"), col("p1.stdUnit"), col("r.*"))
+    lines
+      .withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
+      .withColumn("r", finishUdf(col("p1"), col("ndbId"), modeUnit))
+      .select(inputs ++ Seq(col("p1.qty"), col("p1.stdUnit"), col("r.*")): _*)
       .withColumn("unitResolved", col("grams").isNotNull)
-      .drop("p1", "r", "modeUnit")
   }
 }

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.util.Random
 
 import repro.core.{QuantityParser, UnitTables}
@@ -270,23 +269,29 @@ object RecipeData {
     (1 to nLines).map(i => genLine(recipeId, i, servings, rng))
   }
 
+  /** The number of recipes at scale factor `sf` (at least one). */
+  private def nRecipes(sf: Double): Long = math.max(1L, (RecipesPerSf * sf).toLong)
+
   /** All ingredient lines of a synthetic corpus at scale factor `sf`. */
   def ingredientLines(spark: SparkSession, sf: Double, seed: Long = 7): Dataset[IngredientLine] = {
     import spark.implicits._
-    val nRecipes = math.max(1L, (RecipesPerSf * sf).toLong)
-    spark.range(nRecipes).as[Long].flatMap(recipe(_, seed))
+    spark.range(nRecipes(sf)).as[Long].flatMap(recipe(_, seed))
   }
 
+  /** The AllRecipes-style gold label's deterministic noise, a factor 1 ± 5%. */
+  private def goldNoise(recipeId: Long): Double = 1.0 + (hash01(recipeId.toString + "gold") - 0.5) * 0.1
+
   /** Recipe-level truth and gold labels: total/per-serving true calories and
-    * the AllRecipes-style gold label = truth × (1 ± 5%) deterministic noise.
+    * the AllRecipes-style gold label = truth × [[goldNoise]].
     */
   def recipes(spark: SparkSession, sf: Double, seed: Long = 7): DataFrame = {
-    val goldNoise = udf { (recipeId: Long) => 1.0 + (hash01(recipeId.toString + "gold") - 0.5) * 0.1 }
-    ingredientLines(spark, sf, seed)
-      .groupBy(col("recipeId"), col("servings"))
-      .agg(sum(col("trueKcal")).as("trueKcal"), count(lit(1)).as("nLines"))
-      .withColumn("trueKcalPerServing", col("trueKcal") / col("servings"))
-      .withColumn("goldKcalPerServing", col("trueKcalPerServing") * goldNoise(col("recipeId")))
+    import spark.implicits._
+    spark.range(nRecipes(sf)).as[Long].map { id =>
+      val ls         = recipe(id, seed)
+      val trueKcal   = ls.map(_.trueKcal).sum
+      val perServing = trueKcal / ls.head.servings
+      (id, ls.head.servings, trueKcal, ls.length.toLong, perServing, perServing * goldNoise(id))
+    }.toDF("recipeId", "servings", "trueKcal", "nLines", "trueKcalPerServing", "goldKcalPerServing")
   }
 
   /** A labeled NER corpus of `n` phrases (tokens + gold tags), standing in

@@ -19,18 +19,19 @@ class NutritionEstimatorSpec extends SparkSpec {
   private lazy val lineEst = NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights).cache()
   private lazy val recipeEst = NutritionEstimator.perRecipe(lineEst).cache()
 
-  test("a pass plans 7 shuffles and calls firstPass in 2 plan nodes") {
+  test("a pass plans 4 shuffles and calls firstPass and best once") {
     val plan = NutritionEstimator.perRecipe(NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights))
       .queryExecution.executedPlan match { case a: AdaptiveSparkPlanExec => a.initialPlan }
     val shuffles = plan.collect { case e: ShuffleExchangeExec => e }.size
-    val firstPassNodes = plan.collect {
+    def udfNodes(name: String) = plan.collect {
       case n if n.expressions.exists(_.exists {
-        case u: ScalaUDF => u.udfName.contains("firstPass")
+        case u: ScalaUDF => u.udfName.contains(name)
         case _           => false
       }) => n
     }.size
-    assert(shuffles == 7, plan.treeString)
-    assert(firstPassNodes == 2, plan.treeString)
+    assert(shuffles == 4, plan.treeString)
+    assert(udfNodes("firstPass") == 1, plan.treeString)
+    assert(udfNodes("best") == 1, plan.treeString)
   }
 
   test("every input line appears exactly once in the per-line output") {

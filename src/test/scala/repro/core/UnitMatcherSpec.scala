@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.{SparkSpec, TestModels}
-import repro.data.UsdaData
+import repro.data.{RecipeData, UsdaData}
 
 /** §II-C unit matching: lookups, conversions, thresholds, fallbacks. */
 class UnitMatcherSpec extends SparkSpec {
@@ -177,19 +178,13 @@ class UnitMatcherSpec extends SparkSpec {
     assert(r.estKcal.isEmpty) // no food, no nutrients
   }
 
-  test("resolve falls back to each name's DuckDB mode of first-pass units (oracle)") {
-    val df = Seq[(Int, String, String, String, java.lang.Long)](
-      // a: 2–2 cup/tablespoon tie, so the unit-less lines take cup (first A–Z).
-      (1, "a", "1", "cup", 1L), (2, "a", "2", "cup", 1L), (3, "a", "1", "tbsp", 1L), (4, "a", "2", "tbsp", 1L),
-      (5, "a", "1", "", 1L), (6, "a", "3", "", 1L),
-      // b: tablespoon wins on count although cup comes first A–Z.
-      (7, "b", "1", "tbsp", 1L), (8, "b", "2", "tbsp", 1L), (9, "b", "3", "tbsp", 1L), (10, "b", "1", "cup", 1L),
-      (11, "b", "2", "", 1L),
-      // c: its only unit fails the 5 kg check, so it has no mode.
-      (12, "c", "500", "cup", 1L), (13, "c", "600", "cup", 1L), (14, "c", "1", "", 1L),
-      // d: no line resolves.
-      (15, "d", "1", "", null), (16, "d", "2", "cup", null))
-      .toDF("lineNo", "name", "quantity", "unit", "ndbId").withColumn("size", lit(""))
+  /** Asserts that every line `resolve` gives a fallback unit gets its name's
+    * DuckDB mode of first-pass units (highest count, then the first unit
+    * A–Z), and returns those lines' `lineNo`, sorted.
+    *
+    * @param df columns: lineNo (unique), name, quantity, unit, size, ndbId
+    */
+  private def fallbackLinesMatchDuckDbMode(df: DataFrame): Seq[Int] = {
     val out      = UnitMatcher.resolve(df, weights).select("lineNo", "name", "stdUnit", "resolvedUnit").cache()
     val fallback = out.filter($"resolvedUnit".isNotNull && !($"resolvedUnit" <=> $"stdUnit"))
       .select("lineNo", "resolvedUnit")
@@ -208,25 +203,37 @@ class UnitMatcherSpec extends SparkSpec {
         |FROM resolved r LEFT JOIN modes m ON m.name = r.name AND m.rk = 1
         |WHERE r.resolvedUnit IS NOT NULL AND r.resolvedUnit IS DISTINCT FROM r.stdUnit""".stripMargin,
       "resolved" -> out)
-    assert(fallback.select("lineNo").as[Int].collect().sorted.toSeq == Seq(5, 6, 11))
+    val lineNos = fallback.select("lineNo").as[Int].collect().sorted.toSeq
     out.unpersist()
+    lineNos
   }
 
-  test("mode computation matches DuckDB (oracle)") {
-    val df = lines(
-      ("x", "1", "tbsp", "", 1L), ("x", "1", "tbsp", "", 1L),
-      ("x", "1", "cup", "", 1L), ("y", "1", "cup", "", 1L))
-    val stdUdf = org.apache.spark.sql.functions.udf((u: String) => UnitTables.standardize(u))
-    val counts = df
-      .withColumn("stdUnit", stdUdf($"unit"))
-      .groupBy("name", "stdUnit").count()
-      .select($"name", $"stdUnit", $"count")
-    repro.Oracle.assertEquivalent(
-      counts.withColumn("count", $"count".cast("long")),
-      """SELECT name,
-        |       CASE unit WHEN 'tbsp' THEN 'tablespoon' ELSE unit END AS stdUnit,
-        |       COUNT(*) AS count
-        |FROM lines GROUP BY 1, 2""".stripMargin,
-      "lines" -> df.select("name", "unit"))
+  test("resolve falls back to each name's DuckDB mode of first-pass units (oracle)") {
+    val df = Seq[(Int, String, String, String, java.lang.Long)](
+      // a: 2–2 cup/tablespoon tie, so the unit-less lines take cup (first A–Z).
+      (1, "a", "1", "cup", 1L), (2, "a", "2", "cup", 1L), (3, "a", "1", "tbsp", 1L), (4, "a", "2", "tbsp", 1L),
+      (5, "a", "1", "", 1L), (6, "a", "3", "", 1L),
+      // b: tablespoon wins on count although cup comes first A–Z.
+      (7, "b", "1", "tbsp", 1L), (8, "b", "2", "tbsp", 1L), (9, "b", "3", "tbsp", 1L), (10, "b", "1", "cup", 1L),
+      (11, "b", "2", "", 1L),
+      // c: its only unit fails the 5 kg check, so it has no mode.
+      (12, "c", "500", "cup", 1L), (13, "c", "600", "cup", 1L), (14, "c", "1", "", 1L),
+      // d: no line resolves.
+      (15, "d", "1", "", null), (16, "d", "2", "cup", null))
+      .toDF("lineNo", "name", "quantity", "unit", "ndbId").withColumn("size", lit(""))
+    assert(fallbackLinesMatchDuckDbMode(df) == Seq(5, 6, 11))
+
+    // The extracted lines of an SF 0.001 corpus, numbered and re-parallelized
+    // so that the oracle's input is fixed rows rather than a recomputed plan.
+    val cols   = Seq("name", "quantity", "unit", "size", "ndbId")
+    val corpus = RecipeData.ingredientLines(spark, sf = 0.001, seed = 1)
+      .select("recipeId", "lineNo", "phrase", "servings")
+    val extracted = NutritionEstimator.perLine(corpus, TestModels.ner, UsdaData.foods(spark), weights)
+      .select(cols.map(col): _*)
+    val schema = StructType(StructField("lineNo", IntegerType, nullable = false) +: extracted.schema.fields)
+    val rows   = extracted.collect().toSeq.zipWithIndex.map { case (r, i) => Row.fromSeq(i +: r.toSeq) }
+    spark.catalog.clearCache()
+    assert(fallbackLinesMatchDuckDbMode(
+      spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)).nonEmpty)
   }
 }
