@@ -1,20 +1,27 @@
 package repro.core
 
 /** Quantity normalization (§II-C): every textual quantity is reduced to one
-  * numerical value — '2-4' averages to 3, '2 1/2' becomes 2.5, '1/2' becomes
-  * 0.5, '500' stays 500. Unparseable input yields None (never throws).
+  * numerical value — '2-4' averages to 3, '2 1/2', '2½' and '2-1/2' become
+  * 2.5, '1/2' and '½' become 0.5, '.5' is 0.5, '500' stays 500. Unparseable
+  * input yields None (never throws).
   */
 object QuantityParser {
 
+  private val number   = "(\\d+(?:\\.\\d+)?|\\.\\d+)"
   private val fraction = "^(\\d+)\\s*/\\s*(\\d+)$".r
-  private val mixed    = "^(\\d+)\\s+(\\d+)\\s*/\\s*(\\d+)$".r
-  private val range    = "^(\\d+(?:\\.\\d+)?)\\s*-\\s*(\\d+(?:\\.\\d+)?)$".r
-  private val plain    = "^(\\d+(?:\\.\\d+)?)$".r
+  private val mixed    = "^(\\d+)(?:\\s+|-)(\\d+)\\s*/\\s*(\\d+)$".r
+  private val range    = s"^$number\\s*-\\s*$number$$".r
+  private val plain    = s"^$number$$".r
+
+  /** Unicode vulgar fractions, spelled out with a leading space so that
+    * '1½' reads as the mixed number '1 1/2'.
+    */
+  private val vulgar = Map('½' -> " 1/2", '¼' -> " 1/4", '¾' -> " 3/4", '⅓' -> " 1/3", '⅔' -> " 2/3", '⅛' -> " 1/8")
 
   /** Parse a single quantity token or phrase-level quantity string. */
   def parse(raw: String): Option[Double] = {
     if (raw == null) return None
-    raw.trim match {
+    raw.flatMap(c => vulgar.getOrElse(c, c.toString)).trim match {
       case ""                 => None
       case mixed(w, n, d)     => safeDiv(n, d).map(_ + w.toDouble)
       case fraction(n, d)     => safeDiv(n, d)

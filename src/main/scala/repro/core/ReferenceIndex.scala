@@ -10,35 +10,83 @@ import repro.data.UsdaData.UsdaWeight
   * [[NerPipeline]] captures the NER model. Its methods are the only
   * definition of J* and J scoring with their tie-breaks, and of the mass →
   * USDA weight → volume-conversion chain.
+  *
+  * Matching runs on dense food ids 0 until n, assigned in `ndbId` order, so
+  * "lower id wins" is also the lowest `ndbId`. Each token's posting list is a
+  * pair of int arrays, and |B| and the raw flag are per-id arrays.
   */
 final class ReferenceIndex private (
-    postings: Map[String, Seq[(Long, Int)]],          // token → (ndbId, comma-group priority)
+    postings: Map[String, ReferenceIndex.Postings],
+    ndbIds: Array[Long],                              // dense id → ndbId, ascending
     val foods: Map[Long, ReferenceIndex.Food],
     val gramsPerUnit: Map[(Long, String), Double],    // (ndbId, standardized unit) → g, lowest seq
     val firstVolumetric: Map[Long, (String, Double)], // ndbId → lowest-seq volumetric (unit, g)
 ) extends Serializable {
   import ReferenceIndex._
 
-  /** Every food sharing a token with the ingredient key, scored by
-    * ScanCount: one pass over the posting lists of A's tokens counts |A∩B|
-    * and the best matched-term priority per food.
+  private val bSizes: Array[Int]  = ndbIds.map(foods(_).bSize)
+  private val raw: Array[Boolean] = ndbIds.map(foods(_).hasRaw)
+
+  /** ScanCount over the posting lists of A's tokens: |A∩B| and the best
+    * matched-term priority per dense food id, and the ids touched in the
+    * order first seen. The counters are allocated per call, since UDF tasks
+    * and [[repro.exp.Experiments]] share one index across threads.
     */
+  private final class Scan(name: String, state: String, temp: String, df: String) {
+    private val a       = TextPrep.prepIngredient(name, state, temp, df)
+    private val noState = state == null || state.isEmpty
+    val aSize           = a.size
+    val inter           = new Array[Int](ndbIds.length)
+    val priority        = new Array[Int](ndbIds.length)
+    val touched         = new Array[Int](ndbIds.length)
+    var nTouched        = 0
+    a.foreach { token =>
+      postings.get(token).foreach { p =>
+        var i = 0
+        while (i < p.ids.length) {
+          val f = p.ids(i)
+          if (inter(f) == 0) { touched(nTouched) = f; nTouched += 1; priority(f) = p.priorities(i) }
+          else if (p.priorities(i) < priority(f)) priority(f) = p.priorities(i)
+          inter(f) += 1
+          i += 1
+        }
+      }
+    }
+
+    def rawBonus(f: Int): Int = if (raw(f) && noState) 1 else 0
+    def score(f: Int, metric: Metric): Double = Candidate.score(metric, inter(f), aSize, bSizes(f))
+    def candidate(f: Int): Candidate = Candidate(ndbIds(f), inter(f), aSize, bSizes(f), priority(f), rawBonus(f))
+
+    /** Tie-breaks (g)–(i) between two foods of equal score. */
+    def beats(f: Int, g: Int): Boolean =
+      if (rawBonus(f) != rawBonus(g)) rawBonus(f) > rawBonus(g)
+      else if (priority(f) != priority(g)) priority(f) < priority(g)
+      else f < g
+  }
+
+  /** Every food sharing a token with the ingredient key, scored by ScanCount. */
   def candidates(name: String, state: String, temp: String, df: String): Seq[Candidate] = {
-    val a       = TextPrep.prepIngredient(name, state, temp, df)
-    val noState = state == null || state.isEmpty
-    a.toSeq.flatMap(postings.getOrElse(_, Nil)).groupMap(_._1)(_._2).map { case (ndbId, priorities) =>
-      val f = foods(ndbId)
-      Candidate(ndbId, priorities.size.toLong, a.size, f.bSize, priorities.min, if (f.hasRaw && noState) 1 else 0)
-    }.toSeq
+    val s = new Scan(name, state, temp, df)
+    (0 until s.nTouched).map(i => s.candidate(s.touched(i)))
   }
 
   /** The best candidate under `metric`, None when no token is shared:
     * score desc → raw bonus desc → best priority asc → ndbId asc.
     */
-  def best(name: String, state: String, temp: String, df: String, metric: Metric): Option[Candidate] =
-    candidates(name, state, temp, df).minOption(
-      Ordering.by((c: Candidate) => (-c.score(metric), -c.rawBonus, c.bestPriority, c.ndbId))(
-        Ordering.Tuple4(Ordering.Double.TotalOrdering, Ordering.Int, Ordering.Int, Ordering.Long)))
+  def best(name: String, state: String, temp: String, df: String, metric: Metric): Option[Candidate] = {
+    val s        = new Scan(name, state, temp, df)
+    var win      = -1
+    var winScore = 0.0
+    var i        = 0
+    while (i < s.nTouched) {
+      val f     = s.touched(i)
+      val score = s.score(f, metric)
+      val c     = if (win < 0) 1 else java.lang.Double.compare(score, winScore)
+      if (c > 0 || c == 0 && s.beats(f, win)) { win = f; winScore = score }
+      i += 1
+    }
+    Option.when(win >= 0)(s.candidate(win))
+  }
 
   /** Grams in one `stdUnit` of food `ndbId`: an exact mass unit, else the
     * food's own weight row, else a volume conversion from the food's first
@@ -63,24 +111,35 @@ object ReferenceIndex {
   /** One (ingredient key, food) pair sharing at least one token. */
   final case class Candidate(ndbId: Long, inter: Long, aSize: Int, bSize: Int,
                              bestPriority: Int, rawBonus: Int) {
-    def jstar: Double    = inter.toDouble / aSize
-    def jvanilla: Double = inter.toDouble / (aSize + bSize - inter)
-    def score(metric: Metric): Double = metric match {
-      case Modified => jstar
-      case Vanilla  => jvanilla
+    def jstar: Double    = Candidate.score(Modified, inter, aSize, bSize)
+    def jvanilla: Double = Candidate.score(Vanilla, inter, aSize, bSize)
+    def score(metric: Metric): Double = Candidate.score(metric, inter, aSize, bSize)
+  }
+
+  object Candidate {
+    /** J* = |A∩B| / |A| and J = |A∩B| / |A∪B|. */
+    private[core] def score(metric: Metric, inter: Long, aSize: Int, bSize: Int): Double = metric match {
+      case Modified => inter.toDouble / aSize
+      case Vanilla  => inter.toDouble / (aSize + bSize - inter)
     }
   }
 
+  /** One token's posting list: dense food ids and the token's comma-group priority in each. */
+  private final case class Postings(ids: Array[Int], priorities: Array[Int])
+
   /** Build from (ndbId, description, nutrients) foods and gram-weight rows. */
   def apply(foods: Seq[(Long, String, Option[Per100g])], weights: Seq[UsdaWeight]): ReferenceIndex = {
-    val prepped = foods.map { case (id, desc, n) => (id, desc, n, TextPrep.prepDescription(desc)) }
+    val described = foods.map { case (id, desc, n) => id -> (desc, n, TextPrep.prepDescription(desc)) }.toMap
+    val ndbIds    = described.keys.toArray.sorted
     // USDA lists a food's dominant measures first, so the lowest seq wins.
     val std = weights.map(w => (w, UnitTables.standardize(w.unit))).filter(_._2.nonEmpty)
       .groupBy { case (w, u) => (w.ndbId, u) }.values.map(_.minBy(_._1.seq)).toSeq
     def gpa(w: UsdaWeight): Double = w.grams / w.amount
     new ReferenceIndex(
-      prepped.flatMap { case (id, _, _, b) => b.map(pt => pt.token -> (id, pt.priority)) }.groupMap(_._1)(_._2),
-      prepped.map { case (id, desc, n, b) => id -> Food(desc, b.size, TextPrep.descriptionHasRaw(desc), n) }.toMap,
+      ndbIds.indices.flatMap(f => described(ndbIds(f))._3.map(pt => (pt.token, f, pt.priority)))
+        .groupBy(_._1).map { case (token, ps) => token -> Postings(ps.map(_._2).toArray, ps.map(_._3).toArray) },
+      ndbIds,
+      described.map { case (id, (desc, n, b)) => id -> Food(desc, b.size, TextPrep.descriptionHasRaw(desc), n) },
       std.map { case (w, u) => (w.ndbId, u) -> gpa(w) }.toMap,
       std.filter(r => UnitTables.isVolumetric(r._2)).groupBy(_._1.ndbId)
         .map { case (id, rs) => val (w, u) = rs.minBy(_._1.seq); id -> (u, gpa(w)) })

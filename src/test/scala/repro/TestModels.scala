@@ -4,7 +4,7 @@ import repro.core.ReferenceIndex
 import repro.data.{RecipeData, UsdaData}
 import repro.nlp.{NerModel, NerTrainer}
 
-/** Shared trained NER model and reference index for test suites (one of each per JVM). */
+/** Shared trained NER model, reference index and matcher keys for test suites (one of each per JVM). */
 object TestModels {
   /** Trained on 1.5k synthetic labeled phrases, without Spark — small but representative. */
   lazy val ner: NerModel = {
@@ -18,4 +18,10 @@ object TestModels {
     UsdaData.allFoods.map(f =>
       (f.ndbId, f.description, Some(ReferenceIndex.Per100g(f.kcal100g, f.protein100g, f.fat100g, f.carb100g)))),
     UsdaData.allWeights)
+
+  /** Every 1–3-word window of a food description, as an ingredient key with no entities. */
+  lazy val descriptionWindows: Seq[(String, String, String, String)] = UsdaData.allFoods.flatMap { f =>
+    val ws = f.description.toLowerCase.split("[^a-z]+").filter(_.nonEmpty).toSeq
+    (1 to 3).flatMap(n => ws.sliding(n)).map(n => (n.mkString(" "), "", "", ""))
+  }.distinct
 }

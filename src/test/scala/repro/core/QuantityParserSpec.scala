@@ -29,6 +29,18 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     "0.5"    -> 0.5,
     "1.25"   -> 1.25,
     "10-20"  -> 15.0,
+    "½"      -> 0.5,      // Unicode vulgar fractions
+    "¼"      -> 0.25,
+    "¾"      -> 0.75,
+    "⅓"      -> 1.0 / 3,
+    "⅔"      -> 2.0 / 3,
+    "⅛"      -> 0.125,
+    "1½"     -> 1.5,      // mixed numbers, not ranges
+    "1 ½"    -> 1.5,
+    "1-1/2"  -> 1.5,
+    "2¾"     -> 2.75,
+    ".5"     -> 0.5,      // leading-dot decimals
+    ".25-.75" -> 0.5,
   )
   cases.foreach { case (text, value) =>
     test(s"'$text' parses to $value") {
@@ -47,6 +59,9 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     assert(QuantityParser.parse("some").isEmpty)
     assert(QuantityParser.parse(null).isEmpty)
     assert(QuantityParser.parse("-").isEmpty)
+    Seq(".", "1.", "..5", "1.2.3", "1-", "-½", "½/2", "1/½", "1--1/2", "x½").foreach { text =>
+      assert(QuantityParser.parse(text).isEmpty, text)
+    }
   }
 
   test("zero denominator yields None") {
@@ -61,6 +76,13 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
   test("property: plain integers always parse to themselves") {
     checkProp(Prop.forAll(Gen.choose(1, 100000)) { n =>
       QuantityParser.parse(n.toString).contains(n.toDouble)
+    })
+  }
+
+  test("property: any text made of digits, separators and vulgar fractions parses or yields None") {
+    val text = Gen.listOf(Gen.oneOf("0123456789 ./-½¼¾⅓⅔⅛x".toSeq)).map(_.mkString)
+    checkProp(Prop.forAll(text) { s =>
+      QuantityParser.parse(s).forall(v => !v.isNaN && v >= 0)
     })
   }
 

@@ -6,6 +6,7 @@ import org.apache.spark.sql.Row
 
 import repro.{SparkSpec, TestModels}
 import repro.core.JaccardMatcher.{Metric, Modified, Vanilla}
+import repro.core.ReferenceIndex.Candidate
 import repro.data.{RecipeData, UsdaData}
 import repro.data.UsdaData.UsdaWeight
 
@@ -61,23 +62,36 @@ class ReferenceIndexSpec extends SparkSpec {
     (f.ndbId, TextPrep.prepDescription(f.description), TextPrep.descriptionHasRaw(f.description))
   }
 
-  /** Score every food and sort by the four tie-break keys. */
-  private def scanBest(name: String, state: String, temp: String, df: String, metric: Metric): Option[Long] = {
+  /** Every food sharing a token with A, found by scanning all foods, as
+    * (ndbId, inter, aSize, bSize, bestPriority, rawBonus).
+    */
+  private def scanAll(name: String, state: String, temp: String, df: String): Seq[(Long, Long, Int, Int, Int, Int)] = {
     val a       = TextPrep.prepIngredient(name, state, temp, df)
     val noState = state == null || state.isEmpty
-    val scored = described.flatMap { case (id, b, raw) =>
+    described.flatMap { case (id, b, raw) =>
       val shared = b.filter(pt => a.contains(pt.token))
-      val inter  = shared.size.toDouble
-      val score  = metric match {
-        case Modified => inter / a.size
-        case Vanilla  => inter / (a.size + b.size - inter)
+      Option.when(shared.nonEmpty)(
+        (id, shared.size.toLong, a.size, b.size, shared.map(_.priority).min, if (raw && noState) 1 else 0))
+    }
+  }
+
+  /** Score every food and sort by the four tie-break keys. */
+  private def scanBest(name: String, state: String, temp: String, df: String, metric: Metric): Option[Long] = {
+    val scored = scanAll(name, state, temp, df).map { case (id, inter, aSize, bSize, priority, rawBonus) =>
+      val score = metric match {
+        case Modified => inter.toDouble / aSize
+        case Vanilla  => inter.toDouble / (aSize + bSize - inter)
       }
-      if (shared.isEmpty) None
-      else Some((-score, if (raw && noState) -1 else 0, shared.map(_.priority).min, id))
+      (-score, -rawBonus, priority, id)
     }
     scored.sorted(Ordering.Tuple4(Ordering.Double.TotalOrdering, Ordering.Int, Ordering.Int, Ordering.Long))
       .headOption.map(_._4)
   }
+
+  /** The distinct corpus keys, with their entities, and the description windows. */
+  private lazy val matchKeys: Seq[(String, String, String, String)] =
+    (perLine.map(r => (r.getString(5), r.getString(6), r.getString(7), r.getString(8))).toSeq ++
+      TestModels.descriptionWindows).distinct
 
   test("matchBest equals a brute-force scan of all foods") {
     val corpusKeys = perLine.map(r => (r.getString(5), r.getString(6), r.getString(7), r.getString(8))).distinct
@@ -96,6 +110,26 @@ class ReferenceIndexSpec extends SparkSpec {
       val diff = want.keySet.union(got.keySet).filter(k => want.get(k) != got.get(k))
       assert(diff.isEmpty, s"$metric: ${diff.size} keys differ, e.g. ${diff.take(3).map(k => keys(k.toInt))}")
     }
+  }
+
+  test("candidates equal a brute-force scan of all foods") {
+    val diff = matchKeys.filter { case (n, s, t, d) =>
+      val got = index.candidates(n, s, t, d).map(c => (c.ndbId, c.inter, c.aSize, c.bSize, c.bestPriority, c.rawBonus))
+      got.size != got.distinct.size || got.toSet != scanAll(n, s, t, d).toSet
+    }
+    assert(matchKeys.length > 1500)
+    assert(diff.isEmpty, s"${diff.size} keys differ, e.g. ${diff.take(3)}")
+  }
+
+  test("one index shared by 4 threads matches as it does on one") {
+    def bestAll(): Seq[Option[Candidate]] =
+      for (metric <- Seq(Modified, Vanilla); (n, s, t, d) <- matchKeys) yield index.best(n, s, t, d, metric)
+    val want    = bestAll()
+    val got     = new Array[Seq[Seq[Option[Candidate]]]](4)
+    val threads = got.indices.map(i => new Thread(() => got(i) = Seq.fill(3)(bestAll())))
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(got.forall(runs => runs != null && runs.forall(_ == want)))
   }
 
   // ---- end to end ----------------------------------------------------------
