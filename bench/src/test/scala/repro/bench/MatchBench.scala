@@ -16,7 +16,7 @@ class MatchBench extends SparkSpec {
   private lazy val corpusKeys: Seq[Key] =
     NutritionEstimator.perLine(
       RecipeData.ingredientLines(spark, sf = 0.01).select("recipeId", "lineNo", "phrase", "servings"),
-      BenchModel.model, UsdaData.foods(spark), UsdaData.weights(spark))
+      TestModels.production._1, UsdaData.foods(spark), UsdaData.weights(spark))
       .select(JaccardMatcher.KeyColumns.head, JaccardMatcher.KeyColumns.tail: _*).distinct().collect()
       .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getString(3))).toSeq
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestModels}
 import repro.exp.Experiments
 
 /** Scalability check: the pipeline is a fixed number of DataFrame stages, so
@@ -14,7 +14,7 @@ import repro.exp.Experiments
 class ScaleBench extends SparkSpec {
 
   private def timeAt(sf: Double): (Long, Long) = {
-    val model = BenchModel.model // trained once, outside the timings
+    val model = TestModels.production._1 // trained once, outside the timings
     val t0 = System.nanoTime()
     val perRecipe = Experiments.estimateCorpus(spark, sf, model)
     perRecipe.write.format("noop").mode("overwrite").save()

@@ -1,5 +1,8 @@
 package repro.jobs
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+
 import repro.exp.Experiments
 
 /** Reproduces paper Figure 2 (as a table): percentage mapping of recipes to
@@ -10,9 +13,21 @@ object Fig2MappingJob {
     val spark = Jobs.session("fig2-mapping")
     val sf    = Jobs.sfArg(args)
     val (model, _, _) = Experiments.trainNer(spark)
-    val perRecipe = Experiments.estimateCorpus(spark, sf, model)
+    val perRecipe = Experiments.estimateCorpus(spark, sf, model).cache()
+    val (meanName, meanFull, fullyMapped, recipes) = summary(perRecipe)
     println(s"FIGURE 2 — PERCENTAGE MAPPING OF RECIPES (SF=$sf)")
     println(Experiments.render(Experiments.fig2(spark, perRecipe), n = 50))
+    println(f"mean per-recipe mapping: $meanName%.2f%% (name) vs $meanFull%.2f%% (name+unit)")
+    println(f"fully-mapped recipes: $fullyMapped%,d of $recipes%,d")
     spark.stop()
+  }
+
+  /** Mean per-recipe name-mapped and fully-mapped percentages, the recipes
+    * whose every line is fully mapped, and all recipes.
+    */
+  def summary(perRecipe: DataFrame): (Double, Double, Long, Long) = {
+    val r = perRecipe.agg(avg("pctNameMapped"), avg("pctFullyMapped"),
+                          count(when(col("nFullyMapped") === col("nLines"), 1)), count(lit(1))).head()
+    (r.getDouble(0), r.getDouble(1), r.getLong(2), r.getLong(3))
   }
 }

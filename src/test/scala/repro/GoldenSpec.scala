@@ -1,0 +1,156 @@
+package repro
+
+import scala.util.hashing.MurmurHash3
+
+import org.apache.spark.sql.DataFrame
+
+import repro.core.NutritionEstimator
+import repro.data.{RecipeData, UsdaData}
+import repro.exp.Experiments
+import repro.jobs.Fig2MappingJob
+import repro.nlp.NerModel
+
+/** Golden values of what the repository reports.
+  *
+  * For each input, one digest per pipeline layer, asserted in pipeline order,
+  * so a change that moves the output fails on the first layer that moved.
+  * Then the numbers EXPERIMENTS.md quotes: Table I, Figure 2 and the §III
+  * scalars at SF 0.1 seed 7 with the production NER model. (Tables III and IV
+  * need no model; `ExperimentsSpec` pins them.)
+  *
+  * A change that moves one of these values moves the reported results: it
+  * must say so, and re-record the value here and in EXPERIMENTS.md.
+  */
+class GoldenSpec extends SparkSpec {
+
+  import spark.implicits._
+
+  private def production: NerModel = TestModels.production._1
+
+  /** Per-line columns of each layer, in pipeline order. A layer's digest is
+    * over the distinct projections, so `match` counts each ingredient key once.
+    */
+  private val Layers: Seq[(String, Seq[String])] = Seq(
+    "extraction" -> Seq("recipeId", "lineNo", "name", "state", "quantity", "unit", "temp", "df", "size"),
+    "match"      -> Seq("name", "state", "temp", "df", "ndbId", "score"),
+    "first pass" -> Seq("recipeId", "lineNo", "qty", "stdUnit"),
+    "units"      -> Seq("recipeId", "lineNo", "resolvedUnit", "gramsPerUnit", "grams"),
+    "nutrients"  -> Seq("recipeId", "lineNo", "estKcal", "estProtein", "estFat", "estCarb"))
+
+  /** Order-independent digest: the sum of each row's 32-bit hash. */
+  private def digest(rows: Seq[Seq[Any]]): String = f"${rows.iterator.map(MurmurHash3.seqHash(_) & 0xffffffffL).sum}%x"
+
+  /** A per-recipe sum rounded to 1e-6, so that the order Spark sums the lines in cannot move it. */
+  private def rounded(v: Any): Any = v match {
+    case d: Double => math.rint(d * 1e6) / 1e6
+    case other     => other
+  }
+
+  /** The layers' digests, then `perRecipe`'s over every column, for one pass
+    * over `lines`; and perfbench's whole-line digest (its `Check.digest`).
+    */
+  private def digests(lines: DataFrame, model: NerModel): (Seq[(String, String)], String) = {
+    val perLine = NutritionEstimator.perLine(lines, model, UsdaData.foods(spark), UsdaData.weights(spark)).cache()
+    val rows    = perLine.collect().toSeq
+    val recipes = NutritionEstimator.perRecipe(perLine).collect().toSeq
+    perLine.unpersist()
+    val layers = Layers.map { case (layer, cols) => layer -> digest(rows.map(r => cols.map(r.getAs[Any])).distinct) } :+
+      ("perRecipe" -> digest(recipes.map(_.toSeq.map(rounded))))
+    val whole = rows.iterator.map { r =>
+      ((r.getAs[Long]("recipeId"), r.getAs[Int]("lineNo")), r.getAs[Any]("ndbId"), r.getAs[Any]("resolvedUnit"),
+       r.getAs[Any]("grams")).## & 0xffffffffL
+    }.sum
+    (layers, f"$whole%x")
+  }
+
+  private def assertLayers(input: String, got: Seq[(String, String)], want: Seq[String]): Unit = {
+    assert(got.length == want.length)
+    got.zip(want).foreach { case ((layer, d), w) => assert(d == w, s"$input: the $layer layer moved") }
+  }
+
+  private def lines(sf: Double, seed: Long): DataFrame =
+    RecipeData.ingredientLines(spark, sf, seed).select("recipeId", "lineNo", "phrase", "servings")
+
+  // ---- per-layer digests ---------------------------------------------------
+
+  test("SF 0.01 seed 7 with the test model: each layer's digest") {
+    assertLayers("SF 0.01 seed 7", digests(lines(0.01, 7), TestModels.ner)._1,
+      Seq("138c9a0ad9d9", "e72022f19a", "138bc877984e", "13842ee20529", "139600d3b6cd", "252b38f1d59"))
+  }
+
+  // perfbench's `corpus` inputs (its longtail generator stays in perfbench,
+  // whose drift check holds the longtail digests).
+  Seq(1L -> (Seq("61d68cabd920", "e3caf12431", "62001985961f", "61bd8b7ca642", "61fff2b30f26", "b908b43b08c"), "61ed0fdcfd90"),
+      2L -> (Seq("62018705e2a0", "e809cb2257", "624d6a977121", "62619fb4619e", "61a9ea0b63f9", "b7f01f05846"), "629508fa9f58"),
+      3L -> (Seq("620d6793b31f", "e56d2d4715", "61b91ecfc120", "62353a6a8dbe", "620147100ddd", "b8d359f2109"), "61c0caf91d51"))
+    .foreach { case (seed, (want, whole)) =>
+      test(s"perfbench corpus seed $seed with the production model: each layer's digest, then perfbench's") {
+        val (layers, gotWhole) = digests(lines(0.05, seed), production)
+        assertLayers(s"corpus seed $seed", layers, want)
+        assert(gotWhole == whole, s"corpus seed $seed: perfbench's whole-line digest moved")
+      }
+    }
+
+  // ---- EXPERIMENTS.md at SF 0.1 seed 7 --------------------------------------
+
+  /** `x` within 1e-9 relative of `want`: for means Spark sums in no fixed order. */
+  private def near(x: Double, want: Double): Boolean = math.abs(x / want - 1) < 1e-9
+
+  test("Table I: the twelve Piroszhki extractions with the production model") {
+    // phrase|name|state|quantity|unit|temp|df|size
+    assert(Experiments.table1(spark, production).collect().map(_.toSeq.mkString("|")).toSeq == Seq(
+      "1/2 lb lean ground beef|beef|lean ground|1/2|lb|||",
+      "1 small onion , finely chopped|onion|chopped|1||||small",
+      "1 hard-cooked egg , finely chopped|egg|hard-cooked chopped|1||||",
+      "1 tablespoon fresh dill weed|dill weed||1|tablespoon||fresh|",
+      "1/2 teaspoon salt , freshly ground|salt|ground|1/2|teaspoon|||",
+      "1/8 teaspoon black pepper , minced|black pepper|minced|1/8|teaspoon|||",
+      "3/4 cup butter or 3/4 cup margarine , softened|butter||3/4|cup|||",
+      "2 cups all-purpose flour|all-purpose flour||2|cups|||",
+      "1 teaspoon salt|salt||1|teaspoon|||",
+      "1/2 cup low-fat sour cream|sour cream|low-fat|1/2|cup|||",
+      "1 egg yolk|egg yolk||1||||",
+      "1 tablespoon cold water|water||1|tablespoon|cold||"))
+  }
+
+  test("§III scalars at SF 0.1 seed 7") {
+    val r = Experiments.results(spark, 0.1)
+    assert(r.nerHoldoutF1 == 0.9990843538972187)
+    assert(r.nerCvF1s ==
+      Seq(0.9997166737498229, 0.9997107318484235, 0.9997174343034756, 0.999149177538287, 0.9995762711864407))
+    assert((r.nUniqueIngredients, r.uniqueMatchRatePct) == (462L, 432 * 100.0 / 462))
+    assert((r.divergenceSampled, r.divergenceSampleSize) == (23L, 462L))
+    // accuracyTopKCorrect and accuracyTopKPct rest on `mode`'s arbitrary pick
+    // among tied true foods, so only the top-K size is pinned, and the
+    // accuracy only bounded.
+    assert(r.accuracyTopK == 437)
+    assert(r.accuracyTopKPct > 55.0 && r.accuracyTopKPct < 99.5, r.accuracyTopKPct)
+    assert((r.nRecipes, r.nFullyMappedRecipes) == (11807L, 9409L))
+    assert(near(r.maePerServingKcal, 57.838549244266446), r.maePerServingKcal)
+    assert(near(r.meanGoldKcalPerServing, 804.4418874504884), r.meanGoldKcalPerServing)
+  }
+
+  test("Figure 2 at SF 0.1 seed 7: every bucket, the mean mapping and the fully-mapped count") {
+    val perRecipe = Experiments.estimateCorpus(spark, 0.1, production).cache()
+    val buckets = Experiments.fig2(spark, perRecipe).select("level", "bucket", "recipes", "pctOfRecipes")
+      .as[(String, String, Long, Double)].collect().toSeq
+    val (meanName, meanFull, fullyMapped, recipes) = Fig2MappingJob.summary(perRecipe)
+    val inverted = perRecipe.filter($"pctFullyMapped" > $"pctNameMapped").count()
+    perRecipe.unpersist()
+    assert(buckets == Seq(
+      ("ingredient + unit", "100", 9409L, 79.69),
+      ("ingredient + unit", "50-60", 1L, 0.01),
+      ("ingredient + unit", "60-70", 19L, 0.16),
+      ("ingredient + unit", "70-80", 71L, 0.6),
+      ("ingredient + unit", "80-90", 1291L, 10.93),
+      ("ingredient + unit", "90-100", 1016L, 8.61),
+      ("ingredient name", "100", 9465L, 80.16),
+      ("ingredient name", "50-60", 1L, 0.01),
+      ("ingredient name", "60-70", 19L, 0.16),
+      ("ingredient name", "70-80", 69L, 0.58),
+      ("ingredient name", "80-90", 1264L, 10.71),
+      ("ingredient name", "90-100", 989L, 8.38)))
+    assert(near(meanName, 97.45547343878845) && near(meanFull, 97.39340188904008), (meanName, meanFull))
+    assert((fullyMapped, recipes, inverted) == (9409L, 11807L, 0L))
+  }
+}

@@ -136,8 +136,8 @@ class ReferenceIndexSpec extends SparkSpec {
 
   test("per-line output at SF 0.01 is unchanged") {
     // Order-independent digest of (recipeId, lineNo, ndbId, resolvedUnit,
-    // grams), recorded with the token-join matcher and join-based unit
-    // resolution this index replaced.
+    // grams) over every line of SF 0.01 seed 7 with the shared test model.
+    // GoldenSpec digests the same input layer by layer.
     val digest = perLine.iterator.map { r =>
       val grams = Option(r.get(4)).map(g => java.lang.Double.doubleToLongBits(g.asInstanceOf[Double]))
       MurmurHash3.stringHash(Seq(r.get(0), r.get(1), r.get(2), r.get(3), grams).mkString("|")) & 0xffffffffL

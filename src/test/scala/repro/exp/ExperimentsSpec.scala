@@ -4,9 +4,10 @@ import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestModels}
 import repro.core.NutritionEstimator
 import repro.data.{RecipeData, UsdaData}
+import repro.jobs.Table3MatchingJob
 import repro.nlp.NerModel
 
-/** The experiment layer shared by jobs and benches, at unit-test scale. */
+/** The experiment layer shared by the jobs and GoldenSpec, at unit-test scale. */
 class ExperimentsSpec extends SparkSpec {
 
   import spark.implicits._
@@ -19,18 +20,29 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("table3 produces one row per paper row with both metrics") {
-    val t3 = Experiments.table3(spark).collect()
-    assert(t3.length == Experiments.TableIIIRows.length)
-    t3.foreach { r =>
-      assert(r.getString(2).nonEmpty) // modified match
-      assert(r.getString(4).nonEmpty) // vanilla match
-    }
+    val t3 = Experiments.table3(spark)
+    assert(t3.select("name", "state", "modifiedJI", "vanillaJI").as[(String, String, String, String)].collect().toSeq == Seq(
+      ("red lentils", "", "Lentils, pink or red, raw", "Lentils, pink or red, raw"),
+      ("roma tomato", "quartered", "Tomato products, canned, paste, without salt added", "Soup, tomato, canned, condensed"),
+      ("coriander", "ground", "Coriander (cilantro) leaves, raw", "Coriander (cilantro) leaves, raw"),
+      ("tomato paste", "", "Tomato products, canned, paste, without salt added",
+       "Tomato products, canned, paste, without salt added"),
+      ("vegetable broth", "", "Soup, vegetable with beef broth, canned, condensed", "Soup, vegetable broth, ready to serve"),
+      ("fava beans", "", "Broadbeans (fava beans), mature seeds, raw", "Beans, fava, in pod, raw"),
+      ("cayenne pepper", "ground", "Spices, pepper, red or cayenne", "Spices, pepper, red or cayenne"),
+      ("chicken with giblets", "", "Chicken, broilers or fryers, meat and skin and giblets and neck, raw",
+       "Chicken, broilers or fryers, meat and skin and giblets and neck, raw"),
+      ("sesame seeds", "", "Seeds, sesame seeds, whole, dried", "Seeds, sesame seeds, whole, dried")))
+    // Rows agreeing with the paper's modified and vanilla columns, as Table3MatchingJob prints them.
+    assert(Table3MatchingJob.agreement(t3) == (7L, 4L))
   }
 
   test("table4 is the cleaned butter weight table") {
-    val t4 = Experiments.table4(spark).collect()
-    assert(t4.length == 4)
-    assert(t4.map(_.getString(3)).toSeq == Seq("pat", "tablespoon", "cup", "stick"))
+    assert(Experiments.table4(spark).as[(String, Int, Double, String, Double, Double)].collect().toSeq == Seq(
+      ("Butter, salted", 1, 1.0, "pat", 5.0, 5.0),
+      ("Butter, salted", 2, 1.0, "tablespoon", 14.2, 14.2),
+      ("Butter, salted", 3, 1.0, "cup", 227.0, 227.0),
+      ("Butter, salted", 4, 1.0, "stick", 113.0, 113.0)))
   }
 
   test("fig2 buckets are exhaustive and percentages sum to 100 per level") {
@@ -72,12 +84,11 @@ class ExperimentsSpec extends SparkSpec {
       (m.emitW.toSeq.sortBy(_._1).map { case (f, w) => (f, w.toSeq) }, m.transW.toSeq.map(_.toSeq)).##
     // The last value hashes the model's tags over its whole labeled corpus,
     // which pins inference as well as the training decode.
-    Seq((600, 4, 5L, -976154283, 0.9948630136986302, -1753535866),
-        (8800, 8, 99L, 1054895373, 0.9990843538972187, -905064210))
-      .foreach { case (n, epochs, seed, fp, f1, tagged) =>
-        val (model, holdoutF1, corpus) = Experiments.trainNer(spark, n, epochs, seed)
-        assert((fingerprint(model), holdoutF1, corpus.map(l => model.tag(l.tokens)).##) == (fp, f1, tagged),
-          s"trainNer($n, $epochs, $seed)")
+    Seq(("trainNer(600, 4, 5)", () => Experiments.trainNer(spark, 600, 4, 5L), -976154283, 0.9948630136986302, -1753535866),
+        ("trainNer(8800, 8, 99)", () => TestModels.production, 1054895373, 0.9990843538972187, -905064210))
+      .foreach { case (call, trained, fp, f1, tagged) =>
+        val (model, holdoutF1, corpus) = trained()
+        assert((fingerprint(model), holdoutF1, corpus.map(l => model.tag(l.tokens)).##) == (fp, f1, tagged), call)
       }
   }
 
