@@ -10,7 +10,7 @@ object ResultsJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("results")
     val sf    = Jobs.sfArg(args)
-    val r     = Experiments.results(spark, sf)
+    val r     = Experiments.results(spark, sf, Experiments.trainNer(spark))
     println(Experiments.report(sf, r))
     spark.stop()
   }

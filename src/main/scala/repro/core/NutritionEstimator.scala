@@ -25,27 +25,21 @@ object NutritionEstimator {
     * @param model   trained NER model
     * @param foods   USDA foods: ndbId, description, kcal100g, …, carb100g
     * @param weights USDA gram weights
-    * @return per-line DataFrame with name/state/…, ndbId, the columns of
-    *         [[UnitMatcher.resolve]], the matched food's description and
-    *         per-100 g nutrients, nameMapped, fullyMapped
+    * @return [[UnitMatcher.resolve]]'s columns: name, state, temp, df, the
+    *         other input and [[NerPipeline.Extracted]] columns, ndbId and score
+    *         of [[JaccardMatcher.Best]], then qty, stdUnit and [[UnitMatcher.Resolved]]
     */
   def perLine(lines: DataFrame, model: NerModel,
               foods: DataFrame, weights: DataFrame): DataFrame = {
     val index     = ReferenceIndex.collect(Some(foods), Some(weights))
     val annotated = NerPipeline.annotate(model, lines).cache()
     val keys      = JaccardMatcher.KeyColumns
-    val foodUdf   = udf { (ndbId: java.lang.Long) => Option(ndbId).flatMap(id => index.foods.get(id)) }.withName("food")
 
     val matched = JaccardMatcher
       .matchBest(annotated.select(keys.map(col): _*).distinct(), index, JaccardMatcher.Modified, keys)
       .select((keys :+ "ndbId" :+ "score").map(col): _*)
 
     UnitMatcher.resolve(annotated.join(matched, keys, "left"), index)
-      .withColumn("food", foodUdf(col("ndbId")))
-      .select(col("*"), col("food.description"), col("food.per100g.*"))
-      .drop("food")
-      .withColumn("nameMapped", col("ndbId").isNotNull)
-      .withColumn("fullyMapped", col("ndbId").isNotNull && col("unitResolved"))
   }
 
   /** Per-recipe nutritional profile plus mapping statistics.

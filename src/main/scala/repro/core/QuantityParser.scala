@@ -1,16 +1,16 @@
 package repro.core
 
 /** Quantity normalization (§II-C): every textual quantity is reduced to one
-  * numerical value — '2-4' averages to 3, '2 1/2', '2½' and '2-1/2' become
-  * 2.5, '1/2' and '½' become 0.5, '.5' is 0.5, '500' stays 500. Unparseable
-  * input yields None (never throws).
+  * numerical value — '2-4' and '2 to 4' average to 3, '2 1/2', '2½' and
+  * '2-1/2' become 2.5, '1/2' and '½' become 0.5, '.5' is 0.5, '500' stays 500.
+  * Unparseable input yields None (never throws).
   */
 object QuantityParser {
 
   private val number   = "(\\d+(?:\\.\\d+)?|\\.\\d+)"
   private val fraction = "^(\\d+)\\s*/\\s*(\\d+)$".r
   private val mixed    = "^(\\d+)(?:\\s+|-)(\\d+)\\s*/\\s*(\\d+)$".r
-  private val range    = s"^$number\\s*-\\s*$number$$".r
+  private val range    = s"^$number(?:\\s*-\\s*|\\s+to\\s+)$number$$".r
   private val plain    = s"^$number$$".r
 
   /** Unicode vulgar fractions, spelled out with a leading space so that

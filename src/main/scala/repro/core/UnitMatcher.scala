@@ -40,10 +40,13 @@ object UnitMatcher {
     */
   final case class FirstPass(qty: Option[Double], stdUnit: String, stdGramsPerUnit: Option[Double])
 
-  /** One line after step 7, with its grams and nutrients; all None when unresolved. */
+  /** One line after step 7: its grams and nutrients, all None when unresolved,
+    * and whether its grams (`unitResolved`), food (`nameMapped`) or both are known.
+    */
   final case class Resolved(resolvedUnit: Option[String], gramsPerUnit: Option[Double], grams: Option[Double],
                             estKcal: Option[Double], estProtein: Option[Double],
-                            estFat: Option[Double], estCarb: Option[Double])
+                            estFat: Option[Double], estCarb: Option[Double],
+                            unitResolved: Boolean, nameMapped: Boolean, fullyMapped: Boolean)
 
   /** `gramsPerUnit` when `qty` of it weighs from 0 to [[MaxGramsPerLine]]. */
   private def plausible(qty: Option[Double], gramsPerUnit: Option[Double]): Option[Double] =
@@ -69,7 +72,8 @@ object UnitMatcher {
     val grams   = for ((_, g) <- unit; q <- p.qty) yield q * g
     val per100g = ndbId.flatMap(index.foods.get).flatMap(_.per100g)
     def est(x: ReferenceIndex.Per100g => Double) = for (g <- grams; n <- per100g) yield g * x(n) / 100.0
-    Resolved(unit.map(_._1), unit.map(_._2), grams, est(_.kcal100g), est(_.protein100g), est(_.fat100g), est(_.carb100g))
+    Resolved(unit.map(_._1), unit.map(_._2), grams, est(_.kcal100g), est(_.protein100g), est(_.fat100g), est(_.carb100g),
+             grams.isDefined, ndbId.isDefined, grams.isDefined && ndbId.isDefined)
   }
 
   /** Full §II-C resolution.
@@ -78,9 +82,9 @@ object UnitMatcher {
     *                (textual), unit (raw), size (size word or ""), ndbId
     *                (matched food, nullable)
     * @param weights USDA gram-weight table: ndbId, seq, amount, unit, grams
-    * @return name, the other input columns, then qty, stdUnit,
-    *         resolvedUnit, gramsPerUnit, grams, estKcal, estProtein, estFat,
-    *         estCarb (null without foods in the index), unitResolved
+    * @return name, the other input columns, then [[FirstPass]]'s qty and
+    *         stdUnit, then every field of [[Resolved]] (the nutrients null
+    *         without foods in the index)
     */
   def resolve(lines: DataFrame, weights: DataFrame): DataFrame =
     resolve(lines, ReferenceIndex.collect(None, Some(weights)))
@@ -103,6 +107,5 @@ object UnitMatcher {
       .withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
       .withColumn("r", finishUdf(col("p1"), col("ndbId"), modeUnit))
       .select(inputs ++ Seq(col("p1.qty"), col("p1.stdUnit"), col("r.*")): _*)
-      .withColumn("unitResolved", col("grams").isNotNull)
   }
 }

@@ -9,8 +9,8 @@ import repro.data.{RecipeData, UsdaData}
 import repro.nlp._
 
 /** Shared implementations of the paper's evaluation artifacts (Tables I, III,
-  * IV, Figure 2, and the §III result scalars). Jobs (spark-submit) and the
-  * bench suites both call these, so every reported number has exactly one
+  * IV, Figure 2, and the §III result scalars). The jobs (spark-submit) print
+  * them and `GoldenSpec` pins them, so every reported number has exactly one
   * definition.
   */
 object Experiments {
@@ -148,12 +148,13 @@ object Experiments {
       .as(Encoders.product[IngredientKey])
   }
 
-  def results(spark: SparkSession, sf: Double, nerPhrases: Int = 8800,
+  /** The §III scalars at scale factor `sf`, with `ner` as [[trainNer]] returns it (CV re-splits its corpus). */
+  def results(spark: SparkSession, sf: Double, ner: (NerModel, Double, Seq[NerTrainer.Labeled]),
               cvFolds: Int = 5, seed: Long = 7): Results = {
     import spark.implicits._
 
     // --- NER (§II-A): cluster-selected split + k-fold CV -----------------
-    val (model, holdoutF1, corpus) = trainNer(spark, nerPhrases, epochs = 8, seed = seed + 92)
+    val (model, holdoutF1, corpus) = ner
     val cvF1s = NerTrainer.crossValidate(corpus, folds = cvFolds, epochs = 6, seed = seed + 17)
 
     val foods = UsdaData.foods(spark)
@@ -202,7 +203,7 @@ object Experiments {
       meanGoldKcalPerServing = row.getDouble(3))
   }
 
-  /** The §III result scalars as `ResultsJob` and `ResultsBench` print them, beside the paper's. */
+  /** The §III result scalars as `ResultsJob` prints them, beside the paper's. */
   def report(sf: Double, r: Results): String = Seq(
     s"RESULTS (§III) at SF=$sf — paper value in [brackets]",
     f"NER held-out F1:            ${r.nerHoldoutF1}%.4f  [0.95]",

@@ -114,7 +114,7 @@ class GoldenSpec extends SparkSpec {
   }
 
   test("§III scalars at SF 0.1 seed 7") {
-    val r = Experiments.results(spark, 0.1)
+    val r = Experiments.results(spark, 0.1, TestModels.production)
     assert(r.nerHoldoutF1 == 0.9990843538972187)
     assert(r.nerCvF1s ==
       Seq(0.9997166737498229, 0.9997107318484235, 0.9997174343034756, 0.999149177538287, 0.9995762711864407))

@@ -34,6 +34,14 @@ class NutritionEstimatorSpec extends SparkSpec {
     assert(udfNodes("best") == 1, plan.treeString)
   }
 
+  test("perLine's plan calls finish once and no food UDF") {
+    val plan = NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights)
+      .queryExecution.executedPlan match { case a: AdaptiveSparkPlanExec => a.initialPlan }
+    val udfs = plan.flatMap(_.expressions.flatMap(_.collect { case u: ScalaUDF => u.udfName.getOrElse("") }))
+    assert(udfs.count(_ == "finish") == 1, plan.treeString)
+    assert(!udfs.contains("food"), plan.treeString)
+  }
+
   test("every input line appears exactly once in the per-line output") {
     assert(lineEst.count() == corpus.count())
     val dup = lineEst.groupBy("recipeId", "lineNo").count().filter($"count" > 1).count()
@@ -127,7 +135,7 @@ class NutritionEstimatorSpec extends SparkSpec {
     // The paper reports 36.42 kcal/serving (≈7% of a serving). At this tiny
     // test scale (SF=0.001, ~100 recipes, model trained on 1.5k phrases) the
     // estimate is noisy, so only a relative sanity bound is asserted here;
-    // ResultsBench measures the real number at SF=0.1.
+    // GoldenSpec pins the real number at SF 0.1.
     assert(err < meanGold * 0.30, s"per-serving MAE $err kcal vs mean serving $meanGold")
   }
 

@@ -29,6 +29,8 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     "0.5"    -> 0.5,
     "1.25"   -> 1.25,
     "10-20"  -> 15.0,
+    "1 to 2" -> 1.5,      // ranges spelled with 'to'
+    "2 to 4" -> 3.0,
     "½"      -> 0.5,      // Unicode vulgar fractions
     "¼"      -> 0.25,
     "¾"      -> 0.75,
@@ -59,7 +61,7 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     assert(QuantityParser.parse("some").isEmpty)
     assert(QuantityParser.parse(null).isEmpty)
     assert(QuantityParser.parse("-").isEmpty)
-    Seq(".", "1.", "..5", "1.2.3", "1-", "-½", "½/2", "1/½", "1--1/2", "x½").foreach { text =>
+    Seq(".", "1.", "..5", "1.2.3", "1-", "-½", "½/2", "1/½", "1--1/2", "x½", "1to2", "to 2").foreach { text =>
       assert(QuantityParser.parse(text).isEmpty, text)
     }
   }
@@ -80,15 +82,15 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
   }
 
   test("property: any text made of digits, separators and vulgar fractions parses or yields None") {
-    val text = Gen.listOf(Gen.oneOf("0123456789 ./-½¼¾⅓⅔⅛x".toSeq)).map(_.mkString)
+    val text = Gen.listOf(Gen.oneOf(Gen.oneOf("0123456789 ./-½¼¾⅓⅔⅛x".toSeq).map(_.toString), Gen.const(" to "))).map(_.mkString)
     checkProp(Prop.forAll(text) { s =>
       QuantityParser.parse(s).forall(v => !v.isNaN && v >= 0)
     })
   }
 
   test("property: ranges parse to the midpoint") {
-    checkProp(Prop.forAll(Gen.choose(1, 500), Gen.choose(1, 500)) { (a, b) =>
-      QuantityParser.parse(s"$a-$b").contains((a + b) / 2.0)
+    checkProp(Prop.forAll(Gen.choose(1, 500), Gen.choose(1, 500), Gen.oneOf("-", " - ", " to ", "  to  ")) { (a, b, sep) =>
+      QuantityParser.parse(s"$a$sep$b").contains((a + b) / 2.0)
     })
   }
 }

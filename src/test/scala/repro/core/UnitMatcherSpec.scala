@@ -34,6 +34,7 @@ class UnitMatcherSpec extends SparkSpec {
     assert(r.grams.contains(14.2))
     assert(r.resolvedUnit.contains("tablespoon"))
     assert(r.gramsPerUnit.contains(14.2))
+    assert(r.unitResolved && r.nameMapped && r.fullyMapped)
   }
 
   test("quantity scales grams ('3 tablespoons butter')") {
@@ -147,7 +148,8 @@ class UnitMatcherSpec extends SparkSpec {
     for (q <- Seq("abc", "1/0", "one")) {
       val (p, r) = resolveOne(q, "tbsp")
       assert(p.qty.isEmpty, q)
-      assert(r == UnitMatcher.Resolved(None, None, None, None, None, None, None), q)
+      assert(r == UnitMatcher.Resolved(None, None, None, None, None, None, None,
+                                       unitResolved = false, nameMapped = true, fullyMapped = false), q)
     }
     // Also with a fallback unit on offer, and through Spark.
     val p = UnitMatcher.firstPass(TestModels.index, "abc", "", "", Some(1L))
@@ -176,6 +178,7 @@ class UnitMatcherSpec extends SparkSpec {
     val r = UnitMatcher.finish(TestModels.index, None, p, null)
     assert(r.grams.contains(100.0) && r.resolvedUnit.contains("gram"))
     assert(r.estKcal.isEmpty) // no food, no nutrients
+    assert(r.unitResolved && !r.nameMapped && !r.fullyMapped)
   }
 
   /** Asserts that every line `resolve` gives a fallback unit gets its name's

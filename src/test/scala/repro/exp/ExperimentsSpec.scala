@@ -92,10 +92,11 @@ class ExperimentsSpec extends SparkSpec {
       }
   }
 
-  /** Results at (SF 0.001, 600 NER phrases, 2 CV folds, seed 3), and how many persistent RDDs the call added. */
+  /** Results at (SF 0.001, a 600-phrase model, 2 CV folds, seed 3), and how many persistent RDDs the call added. */
   private lazy val (tiny, tinyPersisted) = {
+    val ner    = Experiments.trainNer(spark, 600, 8, 95)
     val before = spark.sparkContext.getPersistentRDDs.size
-    val r      = Experiments.results(spark, sf = 0.001, nerPhrases = 600, cvFolds = 2, seed = 3)
+    val r      = Experiments.results(spark, 0.001, ner, cvFolds = 2, seed = 3)
     (r, spark.sparkContext.getPersistentRDDs.size - before)
   }
 
