@@ -32,7 +32,7 @@ class MatchBench extends SparkSpec {
   }
 
   test("MATCHER — single-thread best, keys/s") {
-    val index = TestModels.index
+    val index = ReferenceIndex.usda
     println("\nMATCHER — single-thread ReferenceIndex.best, keys/s (best of 5 rounds after 5 warm-up rounds)")
     for ((label, keys) <- Seq("description windows" -> TestModels.descriptionWindows, "SF 0.01 corpus keys" -> corpusKeys);
          metric        <- Seq(JaccardMatcher.Modified, JaccardMatcher.Vanilla)) {

@@ -12,7 +12,7 @@ object Table1NerJob {
     val (model, f1, _) = Experiments.trainNer(spark, n)
     println(s"NER model trained on ~$n phrases; held-out F1 = ${"%.4f".format(f1)}")
     println("\nTABLE I — INGREDIENT TAGS EXTRACTION")
-    println(Experiments.render(Experiments.table1(spark, model)))
+    println(Experiments.render(Experiments.table1(model)))
     spark.stop()
   }
 }

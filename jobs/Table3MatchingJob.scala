@@ -1,7 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.DataFrame
-
 import repro.exp.Experiments
 
 /** Reproduces paper Table III: food descriptions inferred with the modified
@@ -10,21 +8,16 @@ import repro.exp.Experiments
   */
 object Table3MatchingJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table3-matching")
-    val table = Experiments.table3(spark)
+    val table = Experiments.table3
     val (modified, vanilla) = agreement(table)
     val n = Experiments.TableIIIRows.length
     println("TABLE III — MODIFIED vs VANILLA JACCARD MATCHES")
     println(Experiments.render(table))
     println(s"modified-JI column agreement with paper: $modified/$n")
     println(s"vanilla-JI column agreement with paper:  $vanilla/$n")
-    spark.stop()
   }
 
   /** Rows of [[Experiments.table3]] whose modified and whose vanilla match equal the paper's. */
-  def agreement(table: DataFrame): (Long, Long) = {
-    val rows = table.collect()
-    def agree(measured: String, paper: String) = rows.count(r => r.getAs[String](measured) == r.getAs[String](paper)).toLong
-    (agree("modifiedJI", "paperModifiedJI"), agree("vanillaJI", "paperVanillaJI"))
-  }
+  def agreement(table: Seq[Experiments.Table3Row]): (Int, Int) =
+    (table.count(r => r.modifiedJI == r.paperModifiedJI), table.count(r => r.vanillaJI == r.paperVanillaJI))
 }

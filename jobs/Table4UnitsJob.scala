@@ -7,9 +7,7 @@ import repro.exp.Experiments
   */
 object Table4UnitsJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table4-units")
     println("TABLE IV — INGREDIENT AND UNIT RELATIONS")
-    println(Experiments.render(Experiments.table4(spark)))
-    spark.stop()
+    println(Experiments.render(Experiments.table4))
   }
 }

@@ -56,7 +56,7 @@ object JaccardMatcher {
     * no token with any description are absent from the result (unmapped —
     * the paper reports 94.49% of unique ingredients mapped).
     *
-    * @return ingId, ndbId, score, inter, aSize, bestPriority
+    * @return ingId, ndbId, score
     */
   def matchBest(ingredients: DataFrame, reference: DataFrame, metric: Metric = Modified): DataFrame =
     matchBest(ingredients, ReferenceIndex.collect(Some(reference), None), metric, Seq("ingId"))
@@ -66,7 +66,7 @@ object JaccardMatcher {
                 passThrough: Seq[String]): DataFrame = {
     val bestUdf = udf { (name: String, state: String, temp: String, df: String) =>
       index.best(name, state, temp, df, metric).toSeq
-        .map(c => Best(c.ndbId, c.score(metric), c.inter, c.aSize, c.bestPriority))
+        .map(c => Best(c.ndbId, c.score(metric)))
     }.withName("best")
     ingredients
       .select(passThrough.map(col) :+ explode(bestUdf(KeyColumns.map(col): _*)).as("m"): _*)
@@ -74,5 +74,5 @@ object JaccardMatcher {
   }
 
   /** One row of [[matchBest]]'s result, after the pass-through columns. */
-  final case class Best(ndbId: Long, score: Double, inter: Long, aSize: Int, bestPriority: Int)
+  final case class Best(ndbId: Long, score: Double)
 }

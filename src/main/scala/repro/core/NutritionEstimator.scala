@@ -32,12 +32,11 @@ object NutritionEstimator {
   def perLine(lines: DataFrame, model: NerModel,
               foods: DataFrame, weights: DataFrame): DataFrame = {
     val index     = ReferenceIndex.collect(Some(foods), Some(weights))
+    // Cached so `extract` runs once a line: uncached, the join's inferred isnotnull filters inline it, 6 calls a line.
     val annotated = NerPipeline.annotate(model, lines).cache()
     val keys      = JaccardMatcher.KeyColumns
-
-    val matched = JaccardMatcher
+    val matched   = JaccardMatcher
       .matchBest(annotated.select(keys.map(col): _*).distinct(), index, JaccardMatcher.Modified, keys)
-      .select((keys :+ "ndbId" :+ "score").map(col): _*)
 
     UnitMatcher.resolve(annotated.join(matched, keys, "left"), index)
   }

@@ -3,6 +3,7 @@ package repro.core
 /** Quantity normalization (§II-C): every textual quantity is reduced to one
   * numerical value — '2-4' and '2 to 4' average to 3, '2 1/2', '2½' and
   * '2-1/2' become 2.5, '1/2' and '½' become 0.5, '.5' is 0.5, '500' stays 500.
+  * A range's ends may be fractions or mixed numbers: '1/2-1' averages to 0.75.
   * Unparseable input yields None (never throws).
   */
 object QuantityParser {
@@ -10,7 +11,9 @@ object QuantityParser {
   private val number   = "(\\d+(?:\\.\\d+)?|\\.\\d+)"
   private val fraction = "^(\\d+)\\s*/\\s*(\\d+)$".r
   private val mixed    = "^(\\d+)(?:\\s+|-)(\\d+)\\s*/\\s*(\\d+)$".r
-  private val range    = s"^$number(?:\\s*-\\s*|\\s+to\\s+)$number$$".r
+  // A range's end: a mixed number, a fraction or a number.
+  private val single   = "(\\d+(?:\\s+|-)\\d+\\s*/\\s*\\d+|\\d+\\s*/\\s*\\d+|\\d+(?:\\.\\d+)?|\\.\\d+)"
+  private val range    = s"^$single(?:\\s*-\\s*|\\s+to\\s+)$single$$".r
   private val plain    = s"^$number$$".r
 
   /** Unicode vulgar fractions, spelled out with a leading space so that
@@ -25,7 +28,7 @@ object QuantityParser {
       case ""                 => None
       case mixed(w, n, d)     => safeDiv(n, d).map(_ + w.toDouble)
       case fraction(n, d)     => safeDiv(n, d)
-      case range(lo, hi)      => Some((lo.toDouble + hi.toDouble) / 2.0)
+      case range(lo, hi)      => for (a <- parse(lo); b <- parse(hi)) yield (a + b) / 2.0
       case plain(v)           => Some(v.toDouble)
       case multi if multi.split("\\s+").length > 1 =>
         // Multi-token quantity spans from NER that the mixed-number pattern

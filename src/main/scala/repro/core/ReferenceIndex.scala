@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 import repro.core.JaccardMatcher.{Metric, Modified, Vanilla}
-import repro.data.UsdaData.UsdaWeight
+import repro.data.UsdaData.{UsdaWeight, allFoods, allWeights}
 
 /** The USDA side of §II-B matching, §II-C unit lookup and the nutrients,
   * collected once on the driver and captured in UDF closures the way
@@ -144,6 +144,11 @@ object ReferenceIndex {
       std.filter(r => UnitTables.isVolumetric(r._2)).groupBy(_._1.ndbId)
         .map { case (id, rs) => val (w, u) = rs.minBy(_._1.seq); id -> (u, gpa(w)) })
   }
+
+  /** Every generated USDA food, with its nutrients, and every weight row; built once, without Spark. */
+  lazy val usda: ReferenceIndex = ReferenceIndex(
+    allFoods.map(f => (f.ndbId, f.description, Some(Per100g(f.kcal100g, f.protein100g, f.fat100g, f.carb100g)))),
+    allWeights)
 
   /** Collect and index foods (ndbId, description, and the four per-100 g
     * columns if present) and/or weights (ndbId, seq, amount, unit, grams).

@@ -64,16 +64,13 @@ object RecipeData {
     else {
       val key = group.head.name + "|" + group.head.df
       val preferredIdx =
-        if (hash01(key + "pref") < 0.35)
-          1 + math.min(group.length - 2, (hash01(key + "idx") * (group.length - 1)).toInt)
+        if (UsdaData.hash01(key + "pref") < 0.35)
+          1 + math.min(group.length - 2, (UsdaData.hash01(key + "idx") * (group.length - 1)).toInt)
         else 0
       if (rng.nextDouble() < 0.7) group(preferredIdx)
       else group(rng.nextInt(group.length))
     }
   }
-
-  private def hash01(key: String): Double =
-    (math.abs(scala.util.hashing.MurmurHash3.stringHash(key)) % 100000) / 100000.0
 
   // -------------------------------------------------------------------
   // Phrase assembly
@@ -251,7 +248,7 @@ object RecipeData {
     val toks = qtyToks ++ Seq(Tok(renderUnit(std, rng), "UNIT")) ++
       name.split(" ").map(Tok(_, "NAME")).toSeq
     val grams    = qty * UnitTables.volumeMl(std) * 0.6
-    val kcal100g = 250 + 200 * hash01(name)
+    val kcal100g = 250 + 200 * UsdaData.hash01(name)
     IngredientLine(recipeId, lineNo, toks.map(_.text).mkString(" "),
       toks.map(_.text), toks.map(_.tag),
       -1L, qty, std, grams, grams * kcal100g / 100.0, servings)
@@ -279,7 +276,7 @@ object RecipeData {
   }
 
   /** The AllRecipes-style gold label's deterministic noise, a factor 1 ± 5%. */
-  private def goldNoise(recipeId: Long): Double = 1.0 + (hash01(recipeId.toString + "gold") - 0.5) * 0.1
+  private def goldNoise(recipeId: Long): Double = 1.0 + (UsdaData.hash01(recipeId.toString + "gold") - 0.5) * 0.1
 
   /** Recipe-level truth and gold labels: total/per-serving true calories and
     * the AllRecipes-style gold label = truth × [[goldNoise]].

@@ -362,7 +362,7 @@ object UsdaData {
   )
 
   /** Deterministic "random" in [0,1) from a string key — no RNG state. */
-  private def hash01(key: String): Double =
+  private[data] def hash01(key: String): Double =
     (math.abs(scala.util.hashing.MurmurHash3.stringHash(key)) % 100000) / 100000.0
 
   private def capitalize(s: String): String =

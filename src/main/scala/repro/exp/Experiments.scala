@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core._
@@ -64,58 +63,67 @@ object Experiments {
     (model, f1, train ++ test)
   }
 
+  /** One row of Table I: a Piroszhki phrase and its extraction. */
+  final case class Table1Row(phrase: String, name: String, state: String, quantity: String,
+                             unit: String, temp: String, df: String, size: String)
+
   /** Table I: NER extraction of the Piroszhki phrases. */
-  def table1(spark: SparkSession, model: NerModel): DataFrame = {
-    import spark.implicits._
-    PiroszhkiPhrases.map { p =>
-      val e = NerPipeline.extractPhrase(model, p)
-      (p, e.name, e.state, e.quantity, e.unit, e.temp, e.df, e.size)
-    }.toDF("phrase", "name", "state", "quantity", "unit", "temp", "df", "size")
+  def table1(model: NerModel): Seq[Table1Row] = PiroszhkiPhrases.map { p =>
+    val e = NerPipeline.extractPhrase(model, p)
+    Table1Row(p, e.name, e.state, e.quantity, e.unit, e.temp, e.df, e.size)
   }
+
+  /** One row of Table III: an ingredient key, its match under each metric and the paper's. */
+  final case class Table3Row(name: String, state: String, modifiedJI: String, paperModifiedJI: String,
+                             vanillaJI: String, paperVanillaJI: String)
 
   /** Table III: matched description under modified vs vanilla Jaccard for the
     * paper's ingredient rows, with the paper's reported matches alongside.
     */
-  def table3(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val index = ReferenceIndex.collect(Some(UsdaData.foods(spark)), None)
+  def table3: Seq[Table3Row] = {
+    val index = ReferenceIndex.usda
     def best(name: String, state: String, metric: JaccardMatcher.Metric): String =
       index.best(name, state, "", "", metric).fold("(unmapped)")(c => index.foods(c.ndbId).description)
     TableIIIRows.map { case (n, s, paperMod, paperVan) =>
-      (n, s, best(n, s, JaccardMatcher.Modified), paperMod, best(n, s, JaccardMatcher.Vanilla), paperVan)
-    }.toDF("name", "state", "modifiedJI", "paperModifiedJI", "vanillaJI", "paperVanillaJI")
+      Table3Row(n, s, best(n, s, JaccardMatcher.Modified), paperMod, best(n, s, JaccardMatcher.Vanilla), paperVan)
+    }
   }
+
+  /** One row of Table IV: a cleaned weight row of a food. */
+  final case class Table4Row(ingredient: String, seq: Int, amount: Double, unit: String, grams: Double,
+                             gram_per_amount: Double)
 
   /** Table IV: the cleaned ingredient-unit relations for Butter,salted. */
-  def table4(spark: SparkSession): DataFrame = {
-    import spark.implicits._
+  def table4: Seq[Table4Row] = {
     val butter = UsdaData.allFoods.find(_.ndbId == 1L).get.description
     UsdaData.allWeights.filter(_.ndbId == 1L).sortBy(_.seq).map { w =>
-      (butter, w.seq, w.amount, UnitTables.standardize(w.unit), w.grams,
-       BigDecimal(w.grams / w.amount).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble)
-    }.toDF("ingredient", "seq", "amount", "unit", "grams", "gram_per_amount")
+      Table4Row(butter, w.seq, w.amount, UnitTables.standardize(w.unit), w.grams, round2(w.grams / w.amount))
+    }
   }
 
+  /** One row of Figure 2: the recipes of one mapping level whose mapped share falls in `bucket`. */
+  final case class Fig2Row(bucket: String, recipes: Long, level: String, pctOfRecipes: Double)
+
   /** Figure 2 (as a table): distribution of recipes over the percentage of
-    * their ingredients mapped — at name level and at name+unit level.
+    * their ingredients mapped — at name level and at name+unit level. Spark
+    * counts the recipes per pair of buckets; the shares are driver arithmetic.
     */
-  def fig2(spark: SparkSession, perRecipe: DataFrame): DataFrame = {
-    import spark.implicits._
-    def bucketed(pctCol: String, label: String) =
-      perRecipe
-        .withColumn("bucket",
-          when(col(pctCol) >= 100.0, lit("100"))
-            .otherwise(concat((floor(col(pctCol) / 10) * 10).cast("int"),
-                              lit("-"), (floor(col(pctCol) / 10) * 10 + 10).cast("int"))))
-        .groupBy("bucket").agg(count(lit(1)).as("recipes"))
-        .withColumn("level", lit(label))
-    bucketed("pctNameMapped", "ingredient name")
-      .unionByName(bucketed("pctFullyMapped", "ingredient + unit"))
-      .withColumn("pctOfRecipes",
-        round(col("recipes") * 100.0 / sum(col("recipes")).over(
-          Window.partitionBy(col("level"))), 2))
-      .orderBy(col("level"), col("bucket"))
+  def fig2(perRecipe: DataFrame): Seq[Fig2Row] = {
+    def bucket(pct: String) = {
+      val lo = floor(col(pct) / 10) * 10
+      when(col(pct) >= 100.0, lit("100")).otherwise(concat(lo.cast("int"), lit("-"), (lo + 10).cast("int")))
+    }
+    val counts = perRecipe.groupBy(bucket("pctNameMapped"), bucket("pctFullyMapped")).count().collect()
+    def level(label: String, i: Int) = {
+      val perBucket = counts.groupMapReduce(_.getString(i))(_.getLong(2))(_ + _)
+      val total     = perBucket.values.sum
+      perBucket.map { case (b, n) => Fig2Row(b, n, label, round2(n * 100.0 / total)) }
+    }
+    (level("ingredient name", 0) ++ level("ingredient + unit", 1)).toSeq.sortBy(r => (r.level, r.bucket))
   }
+
+  /** Round half up to 0.01, as Spark's `round(_, 2)` does. */
+  private def round2(x: Double): Double = BigDecimal(x).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble
 
   /** The §III result scalars, computed over a corpus at scale factor `sf`. */
   final case class Results(
@@ -169,7 +177,7 @@ object Experiments {
 
     // --- modified vs vanilla divergence (paper: 227 / 1000) ---------------
     val sample = keys.sortBy(_.hash).take(1000)
-    val index  = ReferenceIndex.collect(Some(foods), None)
+    val index  = ReferenceIndex.usda
     def best(k: IngredientKey, m: JaccardMatcher.Metric) = index.best(k.name, k.state, k.temp, k.df, m).map(_.ndbId)
     val divergent = sample.count(k => best(k, JaccardMatcher.Modified) != best(k, JaccardMatcher.Vanilla)).toLong
 
@@ -228,19 +236,13 @@ object Experiments {
       UsdaData.foods(spark), UsdaData.weights(spark))
   }
 
-  /** Render a DataFrame as a fixed-width text table (driver-side, small). */
-  def render(df: DataFrame, n: Int = 50): String = {
-    val sb = new StringBuilder
-    val rows = df.limit(n).collect()
-    val cols = df.columns
-    val widths = cols.indices.map { i =>
-      (cols(i).length +: rows.map(r => Option(r.get(i)).fold(1)(_.toString.length))).max.min(60)
-    }
-    def line(vals: Seq[String]) = sb.append(
-      vals.zip(widths).map { case (v, w) => v.take(60).padTo(w, ' ') }.mkString("| ", " | ", " |\n"))
-    line(cols.toSeq)
-    line(widths.map("-" * _))
-    rows.foreach(r => line(cols.indices.map(i => Option(r.get(i)).fold("∅")(_.toString))))
-    sb.toString
+  /** Render case-class rows as a fixed-width text table under their field names; no rows render as "". */
+  def render(rows: Seq[Product]): String = {
+    val cols   = rows.headOption.fold(Seq.empty[String])(_.productElementNames.toSeq)
+    val cells  = rows.map(_.productIterator.map(v => Option(v).fold("∅")(_.toString)).toSeq)
+    val widths = cols.indices.map(i => (cols(i).length +: cells.map(_(i).length)).max.min(60))
+    def line(vals: Seq[String]) =
+      vals.zip(widths).map { case (v, w) => v.take(60).padTo(w, ' ') }.mkString("| ", " | ", " |\n")
+    if (rows.isEmpty) "" else (cols +: widths.map("-" * _) +: cells).map(line).mkString
   }
 }

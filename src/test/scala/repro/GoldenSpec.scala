@@ -98,7 +98,7 @@ class GoldenSpec extends SparkSpec {
 
   test("Table I: the twelve Piroszhki extractions with the production model") {
     // phrase|name|state|quantity|unit|temp|df|size
-    assert(Experiments.table1(spark, production).collect().map(_.toSeq.mkString("|")).toSeq == Seq(
+    assert(Experiments.table1(production).map(_.productIterator.mkString("|")) == Seq(
       "1/2 lb lean ground beef|beef|lean ground|1/2|lb|||",
       "1 small onion , finely chopped|onion|chopped|1||||small",
       "1 hard-cooked egg , finely chopped|egg|hard-cooked chopped|1||||",
@@ -132,8 +132,7 @@ class GoldenSpec extends SparkSpec {
 
   test("Figure 2 at SF 0.1 seed 7: every bucket, the mean mapping and the fully-mapped count") {
     val perRecipe = Experiments.estimateCorpus(spark, 0.1, production).cache()
-    val buckets = Experiments.fig2(spark, perRecipe).select("level", "bucket", "recipes", "pctOfRecipes")
-      .as[(String, String, Long, Double)].collect().toSeq
+    val buckets = Experiments.fig2(perRecipe).map(r => (r.level, r.bucket, r.recipes, r.pctOfRecipes))
     val (meanName, meanFull, fullyMapped, recipes) = Fig2MappingJob.summary(perRecipe)
     val inverted = perRecipe.filter($"pctFullyMapped" > $"pctNameMapped").count()
     perRecipe.unpersist()

@@ -1,11 +1,10 @@
 package repro
 
-import repro.core.ReferenceIndex
 import repro.data.{RecipeData, UsdaData}
 import repro.exp.Experiments
 import repro.nlp.{NerModel, NerTrainer}
 
-/** Shared trained NER models, reference index and matcher keys for test suites (one of each per JVM). */
+/** Shared trained NER models and matcher keys for test suites (one of each per JVM). */
 object TestModels {
   /** Trained on 1.5k synthetic labeled phrases, without Spark — small but representative. */
   lazy val ner: NerModel = {
@@ -19,12 +18,6 @@ object TestModels {
     */
   lazy val production: (NerModel, Double, Seq[NerTrainer.Labeled]) =
     Experiments.trainNer(SparkSpec.shared, nPhrases = 8800, epochs = 8, seed = 99)
-
-  /** Every generated food, with its nutrients, and every weight row; built without Spark. */
-  lazy val index: ReferenceIndex = ReferenceIndex(
-    UsdaData.allFoods.map(f =>
-      (f.ndbId, f.description, Some(ReferenceIndex.Per100g(f.kcal100g, f.protein100g, f.fat100g, f.carb100g)))),
-    UsdaData.allWeights)
 
   /** Every 1–3-word window of a food description, as an ingredient key with no entities. */
   lazy val descriptionWindows: Seq[(String, String, String, String)] = UsdaData.allFoods.flatMap { f =>

@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestModels}
@@ -40,6 +42,23 @@ class NutritionEstimatorSpec extends SparkSpec {
     val udfs = plan.flatMap(_.expressions.flatMap(_.collect { case u: ScalaUDF => u.udfName.getOrElse("") }))
     assert(udfs.count(_ == "finish") == 1, plan.treeString)
     assert(!udfs.contains("food"), plan.treeString)
+  }
+
+  test("perLine's plan calls extract once a line, through its cached NER frame") {
+    // Uncached, the join's inferred isnotnull filters on the four keys inline
+    // `extract` into both branches: 6 calls a line instead of 1.
+    def extractCalls(plan: SparkPlan): Int = plan match {
+      case a: AdaptiveSparkPlanExec => extractCalls(a.initialPlan)
+      case p =>
+        val own = p.collect { case n => n.expressions.map(_.collect {
+          case u: ScalaUDF if u.udfName.contains("extract") => u
+        }.size).sum }.sum
+        val cached = p.collect { case s: InMemoryTableScanExec => s.relation }
+          .distinctBy(_.cacheBuilder).map(r => extractCalls(r.cachedPlan)).sum
+        own + cached
+    }
+    val plan = NutritionEstimator.perLine(corpus, TestModels.ner, foods, weights).queryExecution.executedPlan
+    assert(extractCalls(plan) == 1, plan.treeString)
   }
 
   test("every input line appears exactly once in the per-line output") {

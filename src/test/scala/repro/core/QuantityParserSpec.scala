@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import repro.PropChecks
 
 /** §II-C quantity normalization: every textual quantity maps to one number. */
@@ -43,6 +44,12 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
     "2¾"     -> 2.75,
     ".5"     -> 0.5,      // leading-dot decimals
     ".25-.75" -> 0.5,
+    "1 1/2 to 2" -> 1.75, // ranges with fraction and mixed-number ends
+    "1/2 to 1"   -> 0.75,
+    "1/2-1"      -> 0.75,
+    "½-1"        -> 0.75,
+    "1½-2"       -> 1.75,
+    "1-1/2 to 2" -> 1.75,
   )
   cases.foreach { case (text, value) =>
     test(s"'$text' parses to $value") {
@@ -89,8 +96,15 @@ class QuantityParserSpec extends AnyFunSuite with PropChecks {
   }
 
   test("property: ranges parse to the midpoint") {
-    checkProp(Prop.forAll(Gen.choose(1, 500), Gen.choose(1, 500), Gen.oneOf("-", " - ", " to ", "  to  ")) { (a, b, sep) =>
-      QuantityParser.parse(s"$a$sep$b").contains((a + b) / 2.0)
+    // An end as text and value: a whole number, a fraction, or a mixed number.
+    val whole = Gen.choose(1, 500).map(n => (n.toString, n.toDouble))
+    val fraction = for (n <- Gen.choose(1, 15); d <- Gen.choose(1, 16)) yield (s"$n/$d", n.toDouble / d)
+    val mixed = for (w <- Gen.choose(1, 20); (f, v) <- fraction; sep <- Gen.oneOf(" ", "-")) yield (s"$w$sep$f", w + v)
+    val end = Gen.oneOf(whole, fraction, mixed)
+    checkProp(Prop.forAll(end, end, Gen.oneOf("-", " - ", " to ", "  to  ")) { case ((a, x), (b, y), sep) =>
+      // A whole number, a hyphen and a fraction is the mixed number "1-1/2", not a range.
+      !(sep == "-" && !a.contains('/') && b.matches("\\d+/\\d+")) ==>
+        QuantityParser.parse(s"$a$sep$b").exists(v => math.abs(v - (x + y) / 2) < 1e-9)
     })
   }
 }

@@ -17,7 +17,7 @@ class ReferenceIndexSpec extends SparkSpec {
 
   import spark.implicits._
 
-  private def index = TestModels.index
+  private def index = ReferenceIndex.usda
 
   /** Per-line output at SF 0.01 with the shared test model. */
   private lazy val perLine: Array[Row] =

@@ -40,7 +40,7 @@ class ReferencePassSpec extends SparkSpec {
 
   /** Each line's columns by name, keyed by (recipeId, lineNo). */
   private lazy val local: Map[(Long, Int), Map[String, Any]] = {
-    val index     = TestModels.index
+    val index     = ReferenceIndex.usda
     val extracted = mutable.HashMap.empty[String, NerPipeline.Extracted]
     val matched   = mutable.HashMap.empty[(String, String, String, String), Option[ReferenceIndex.Candidate]]
     val stage1 = lines.as[(Long, Int, String, Int)].collect().toSeq.map { case (recipeId, lineNo, phrase, servings) =>

@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{PropChecks, TestModels}
+import repro.PropChecks
 import repro.data.UsdaData
 
 /** The §II-C chain on hostile input, without Spark: [[UnitMatcher.firstPass]]
@@ -42,8 +42,8 @@ class UnitChainPropSpec extends AnyFunSuite with PropChecks {
 
   test("property: the chain never throws, and grams are null or finite in [0, 5 kg]") {
     checkProp(Prop.forAll(quantity, unit, size, ndbId, modeUnit) { (q, u, s, id, mode) =>
-      val p = UnitMatcher.firstPass(TestModels.index, q, u, s, id)
-      val r = UnitMatcher.finish(TestModels.index, id, p, mode)
+      val p = UnitMatcher.firstPass(ReferenceIndex.usda, q, u, s, id)
+      val r = UnitMatcher.finish(ReferenceIndex.usda, id, p, mode)
       val ests = Seq(r.estKcal, r.estProtein, r.estFat, r.estCarb)
       // A first-pass weight always has a unit, so the fallback statistic needs no test for "".
       p.stdGramsPerUnit.forall(_ => p.stdUnit.nonEmpty) &&

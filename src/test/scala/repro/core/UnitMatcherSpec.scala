@@ -22,8 +22,8 @@ class UnitMatcherSpec extends SparkSpec {
     */
   private def resolveOne(qty: String, unit: String, size: String = "",
                          ndbId: Long = 1L): (UnitMatcher.FirstPass, UnitMatcher.Resolved) = {
-    val p = UnitMatcher.firstPass(TestModels.index, qty, unit, size, Some(ndbId))
-    (p, UnitMatcher.finish(TestModels.index, Some(ndbId), p, null))
+    val p = UnitMatcher.firstPass(ReferenceIndex.usda, qty, unit, size, Some(ndbId))
+    (p, UnitMatcher.finish(ReferenceIndex.usda, Some(ndbId), p, null))
   }
 
   private def gramsOf(qty: String, unit: String, size: String = "", ndbId: Long = 1L): Double =
@@ -111,9 +111,9 @@ class UnitMatcherSpec extends SparkSpec {
     assert(!big.getAs[Boolean]("unitResolved"))
     assert(big.isNullAt(big.fieldIndex("grams")))
     assert(rs.count(_.getAs[Boolean]("unitResolved")) == 2)
-    val p = UnitMatcher.firstPass(TestModels.index, "500", "cup", "", Some(1L))
+    val p = UnitMatcher.firstPass(ReferenceIndex.usda, "500", "cup", "", Some(1L))
     assert(p.stdGramsPerUnit.isEmpty)
-    assert(UnitMatcher.finish(TestModels.index, Some(1L), p, "cup").grams.isEmpty)
+    assert(UnitMatcher.finish(ReferenceIndex.usda, Some(1L), p, "cup").grams.isEmpty)
   }
 
   test("missing unit falls back to the ingredient's most frequent unit") {
@@ -152,8 +152,8 @@ class UnitMatcherSpec extends SparkSpec {
                                        unitResolved = false, nameMapped = true, fullyMapped = false), q)
     }
     // Also with a fallback unit on offer, and through Spark.
-    val p = UnitMatcher.firstPass(TestModels.index, "abc", "", "", Some(1L))
-    assert(UnitMatcher.finish(TestModels.index, Some(1L), p, "tablespoon").grams.isEmpty)
+    val p = UnitMatcher.firstPass(ReferenceIndex.usda, "abc", "", "", Some(1L))
+    assert(UnitMatcher.finish(ReferenceIndex.usda, Some(1L), p, "tablespoon").grams.isEmpty)
     val r = UnitMatcher.resolve(lines(("butter", "abc", "tbsp", "", 1L)), weights).collect().head
     assert(!r.getAs[Boolean]("unitResolved"))
     assert(r.isNullAt(r.fieldIndex("grams")) && r.isNullAt(r.fieldIndex("qty")))
@@ -174,8 +174,8 @@ class UnitMatcherSpec extends SparkSpec {
   }
 
   test("unmatched food (null ndbId) with a mass unit still resolves") {
-    val p = UnitMatcher.firstPass(TestModels.index, "100", "g", "", None)
-    val r = UnitMatcher.finish(TestModels.index, None, p, null)
+    val p = UnitMatcher.firstPass(ReferenceIndex.usda, "100", "g", "", None)
+    val r = UnitMatcher.finish(ReferenceIndex.usda, None, p, null)
     assert(r.grams.contains(100.0) && r.resolvedUnit.contains("gram"))
     assert(r.estKcal.isEmpty) // no food, no nutrients
     assert(r.unitResolved && !r.nameMapped && !r.fullyMapped)

@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestModels}
 import repro.core.NutritionEstimator
 import repro.data.{RecipeData, UsdaData}
@@ -13,15 +12,15 @@ class ExperimentsSpec extends SparkSpec {
   import spark.implicits._
 
   test("table1 produces one row per Piroszhki phrase") {
-    val t1 = Experiments.table1(spark, TestModels.ner)
-    assert(t1.count() == 12)
-    assert(t1.columns.toSeq ==
+    val t1 = Experiments.table1(TestModels.ner)
+    assert(t1.length == 12)
+    assert(t1.head.productElementNames.toSeq ==
       Seq("phrase", "name", "state", "quantity", "unit", "temp", "df", "size"))
   }
 
   test("table3 produces one row per paper row with both metrics") {
-    val t3 = Experiments.table3(spark)
-    assert(t3.select("name", "state", "modifiedJI", "vanillaJI").as[(String, String, String, String)].collect().toSeq == Seq(
+    val t3 = Experiments.table3
+    assert(t3.map(r => (r.name, r.state, r.modifiedJI, r.vanillaJI)) == Seq(
       ("red lentils", "", "Lentils, pink or red, raw", "Lentils, pink or red, raw"),
       ("roma tomato", "quartered", "Tomato products, canned, paste, without salt added", "Soup, tomato, canned, condensed"),
       ("coriander", "ground", "Coriander (cilantro) leaves, raw", "Coriander (cilantro) leaves, raw"),
@@ -38,7 +37,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("table4 is the cleaned butter weight table") {
-    assert(Experiments.table4(spark).as[(String, Int, Double, String, Double, Double)].collect().toSeq == Seq(
+    assert(Experiments.table4.map(r => (r.ingredient, r.seq, r.amount, r.unit, r.grams, r.gram_per_amount)) == Seq(
       ("Butter, salted", 1, 1.0, "pat", 5.0, 5.0),
       ("Butter, salted", 2, 1.0, "tablespoon", 14.2, 14.2),
       ("Butter, salted", 3, 1.0, "cup", 227.0, 227.0),
@@ -50,20 +49,36 @@ class ExperimentsSpec extends SparkSpec {
       (1L, 100.0, 100.0), (2L, 100.0, 80.0), (3L, 95.0, 50.0),
       (4L, 60.0, 0.0), (5L, 100.0, 100.0),
     ).toDF("recipeId", "pctNameMapped", "pctFullyMapped")
-    val f = Experiments.fig2(spark, perRecipe).cache()
-    val sums = f.groupBy("level").agg(
-      sum($"recipes").as("n"), round(sum($"pctOfRecipes"), 1).as("pct")).collect()
-    sums.foreach { r =>
-      assert(r.getLong(1) == 5)
-      assert(math.abs(r.getDouble(2) - 100.0) < 0.2)
+    val f = Experiments.fig2(perRecipe)
+    val sums = f.groupBy(_.level).values.map(rs => (rs.map(_.recipes).sum, rs.map(_.pctOfRecipes).sum))
+    sums.foreach { case (n, pct) =>
+      assert(n == 5)
+      assert(math.abs(pct - 100.0) < 0.2)
     }
     // 100% is its own bucket, separate from 90-100.
-    val name100 = f.filter($"level" === "ingredient name" && $"bucket" === "100")
-      .collect().head.getLong(1)
+    val name100 = f.find(r => r.level == "ingredient name" && r.bucket == "100").get.recipes
     assert(name100 == 3)
-    val name90 = f.filter($"level" === "ingredient name" && $"bucket" === "90-100")
-      .collect().head.getLong(1)
+    val name90 = f.find(r => r.level == "ingredient name" && r.bucket == "90-100").get.recipes
     assert(name90 == 1)
+  }
+
+  test("fig2's recipes per level and bucket agree with DuckDB, at the bucket edges and at SF 0.001") {
+    val edges    = Seq(0.0, 9.99, 10.0, 89.99, 90.0, 99.99, 100.0)
+    val boundary = edges.flatMap(name => edges.map(full => (name, full))).toDF("pctNameMapped", "pctFullyMapped")
+    val corpus   = Experiments.estimateCorpus(spark, 0.001, TestModels.ner).select("pctNameMapped", "pctFullyMapped")
+    val perRecipe = boundary.unionByName(corpus).cache()
+    def bucket(pct: String) =
+      s"""CASE WHEN CAST($pct AS DOUBLE) >= 100 THEN '100'
+         |ELSE CAST(CAST(floor(CAST($pct AS DOUBLE) / 10) * 10 AS INTEGER) AS VARCHAR) || '-' ||
+         |     CAST(CAST(floor(CAST($pct AS DOUBLE) / 10) * 10 + 10 AS INTEGER) AS VARCHAR) END""".stripMargin
+    repro.Oracle.assertEquivalent(
+      Experiments.fig2(perRecipe).map(r => (r.level, r.bucket, r.recipes)).toDF("level", "bucket", "recipes"),
+      s"""SELECT 'ingredient name' AS level, ${bucket("pctNameMapped")} AS bucket, count(*) AS recipes
+         |FROM r GROUP BY 1, 2
+         |UNION ALL
+         |SELECT 'ingredient + unit', ${bucket("pctFullyMapped")}, count(*) FROM r GROUP BY 1, 2""".stripMargin,
+      "r" -> perRecipe)
+    perRecipe.unpersist()
   }
 
   test("trainNer returns a usable model and sane holdout F1") {
@@ -148,9 +163,15 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("render produces an aligned text table") {
-    val s = Experiments.render(Seq((1, "a"), (22, "bb")).toDF("x", "y"))
-    assert(s.contains("| x "))
-    assert(s.linesIterator.size == 4)
+    // Table4UnitsJob's printed table, byte for byte.
+    assert(Experiments.render(Experiments.table4) == Seq(
+      "| ingredient     | seq | amount | unit       | grams | gram_per_amount |",
+      "| -------------- | --- | ------ | ---------- | ----- | --------------- |",
+      "| Butter, salted | 1   | 1.0    | pat        | 5.0   | 5.0             |",
+      "| Butter, salted | 2   | 1.0    | tablespoon | 14.2  | 14.2            |",
+      "| Butter, salted | 3   | 1.0    | cup        | 227.0 | 227.0           |",
+      "| Butter, salted | 4   | 1.0    | stick      | 113.0 | 113.0           |").mkString("", "\n", "\n"))
+    assert(Experiments.render(Nil) == "")
   }
 
   test("estimateCorpus returns one row per recipe") {
