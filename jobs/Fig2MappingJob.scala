@@ -15,10 +15,10 @@ object Fig2MappingJob {
     val (model, _, _) = Experiments.trainNer(spark)
     val perRecipe = Experiments.estimateCorpus(spark, sf, model).cache()
     val (meanName, meanFull, fullyMapped, recipes) = summary(perRecipe)
-    println(s"FIGURE 2 — PERCENTAGE MAPPING OF RECIPES (SF=$sf)")
-    println(Experiments.render(Experiments.fig2(perRecipe)))
-    println(f"mean per-recipe mapping: $meanName%.2f%% (name) vs $meanFull%.2f%% (name+unit)")
-    println(f"fully-mapped recipes: $fullyMapped%,d of $recipes%,d")
+    Jobs.out.println(s"FIGURE 2 — PERCENTAGE MAPPING OF RECIPES (SF=$sf)")
+    Jobs.out.println(Experiments.render(Experiments.fig2(perRecipe)))
+    Jobs.out.println(f"mean per-recipe mapping: $meanName%.2f%% (name) vs $meanFull%.2f%% (name+unit)")
+    Jobs.out.println(f"fully-mapped recipes: $fullyMapped%,d of $recipes%,d")
     spark.stop()
   }
 

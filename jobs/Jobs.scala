@@ -1,5 +1,7 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, OutputStream, PrintStream}
+
 import org.apache.spark.sql.SparkSession
 
 /** Shared bootstrap for the spark-submit entrypoints. */
@@ -8,11 +10,16 @@ object Jobs {
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   /** First CLI arg as scale factor, defaulting to 0.1 (bench scale). */
-  def sfArg(args: Array[String], default: Double = 0.1): Double =
-    args.headOption.map(_.toDouble).getOrElse(default)
+  def sfArg(args: Array[String]): Double = args.headOption.map(_.toDouble).getOrElse(0.1)
+
+  /** `stream` as UTF-8 text, flushed at each line. */
+  def utf8(stream: OutputStream): PrintStream = new PrintStream(stream, true, "UTF-8")
+
+  /** Standard output in UTF-8 under any locale: the jobs print `—`, `§` and `∅`. */
+  val out: PrintStream = utf8(new FileOutputStream(FileDescriptor.out))
 }

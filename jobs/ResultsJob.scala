@@ -11,7 +11,7 @@ object ResultsJob {
     val spark = Jobs.session("results")
     val sf    = Jobs.sfArg(args)
     val r     = Experiments.results(spark, sf, Experiments.trainNer(spark))
-    println(Experiments.report(sf, r))
+    Jobs.out.println(Experiments.report(sf, r))
     spark.stop()
   }
 }

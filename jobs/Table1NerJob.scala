@@ -10,9 +10,9 @@ object Table1NerJob {
     val spark = Jobs.session("table1-ner")
     val n     = args.headOption.map(_.toInt).getOrElse(8800)
     val (model, f1, _) = Experiments.trainNer(spark, n)
-    println(s"NER model trained on ~$n phrases; held-out F1 = ${"%.4f".format(f1)}")
-    println("\nTABLE I — INGREDIENT TAGS EXTRACTION")
-    println(Experiments.render(Experiments.table1(model)))
+    Jobs.out.println(s"NER model trained on ~$n phrases; held-out F1 = ${"%.4f".format(f1)}")
+    Jobs.out.println("\nTABLE I — INGREDIENT TAGS EXTRACTION")
+    Jobs.out.println(Experiments.render(Experiments.table1(model)))
     spark.stop()
   }
 }

@@ -11,10 +11,10 @@ object Table3MatchingJob {
     val table = Experiments.table3
     val (modified, vanilla) = agreement(table)
     val n = Experiments.TableIIIRows.length
-    println("TABLE III — MODIFIED vs VANILLA JACCARD MATCHES")
-    println(Experiments.render(table))
-    println(s"modified-JI column agreement with paper: $modified/$n")
-    println(s"vanilla-JI column agreement with paper:  $vanilla/$n")
+    Jobs.out.println("TABLE III — MODIFIED vs VANILLA JACCARD MATCHES")
+    Jobs.out.println(Experiments.render(table))
+    Jobs.out.println(s"modified-JI column agreement with paper: $modified/$n")
+    Jobs.out.println(s"vanilla-JI column agreement with paper:  $vanilla/$n")
   }
 
   /** Rows of [[Experiments.table3]] whose modified and whose vanilla match equal the paper's. */

@@ -7,7 +7,7 @@ import repro.exp.Experiments
   */
 object Table4UnitsJob {
   def main(args: Array[String]): Unit = {
-    println("TABLE IV — INGREDIENT AND UNIT RELATIONS")
-    println(Experiments.render(Experiments.table4))
+    Jobs.out.println("TABLE IV — INGREDIENT AND UNIT RELATIONS")
+    Jobs.out.println(Experiments.render(Experiments.table4))
   }
 }

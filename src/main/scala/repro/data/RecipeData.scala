@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import scala.util.Random
 
-import repro.core.{QuantityParser, UnitTables}
+import repro.core.UnitTables
 
 /** Synthetic RecipeDB (substrate).
   *

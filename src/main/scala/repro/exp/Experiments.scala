@@ -240,9 +240,9 @@ object Experiments {
   def render(rows: Seq[Product]): String = {
     val cols   = rows.headOption.fold(Seq.empty[String])(_.productElementNames.toSeq)
     val cells  = rows.map(_.productIterator.map(v => Option(v).fold("∅")(_.toString)).toSeq)
-    val widths = cols.indices.map(i => (cols(i).length +: cells.map(_(i).length)).max.min(60))
+    val widths = cols.indices.map(i => (cols(i).length +: cells.map(_(i).length)).max)
     def line(vals: Seq[String]) =
-      vals.zip(widths).map { case (v, w) => v.take(60).padTo(w, ' ') }.mkString("| ", " | ", " |\n")
+      vals.zip(widths).map { case (v, w) => v.padTo(w, ' ') }.mkString("| ", " | ", " |\n")
     if (rows.isEmpty) "" else (cols +: widths.map("-" * _) +: cells).map(line).mkString
   }
 }

@@ -2,10 +2,6 @@ package repro
 
 import scala.util.hashing.MurmurHash3
 
-import org.apache.spark.sql.DataFrame
-
-import repro.core.NutritionEstimator
-import repro.data.{RecipeData, UsdaData}
 import repro.exp.Experiments
 import repro.jobs.Fig2MappingJob
 import repro.nlp.NerModel
@@ -46,35 +42,20 @@ class GoldenSpec extends SparkSpec {
     case other     => other
   }
 
-  /** The layers' digests, then `perRecipe`'s over every column, for one pass
-    * over `lines`; and perfbench's whole-line digest (its `Check.digest`).
-    */
-  private def digests(lines: DataFrame, model: NerModel): (Seq[(String, String)], String) = {
-    val perLine = NutritionEstimator.perLine(lines, model, UsdaData.foods(spark), UsdaData.weights(spark)).cache()
-    val rows    = perLine.collect().toSeq
-    val recipes = NutritionEstimator.perRecipe(perLine).collect().toSeq
-    perLine.unpersist()
-    val layers = Layers.map { case (layer, cols) => layer -> digest(rows.map(r => cols.map(r.getAs[Any])).distinct) } :+
-      ("perRecipe" -> digest(recipes.map(_.toSeq.map(rounded))))
-    val whole = rows.iterator.map { r =>
-      ((r.getAs[Long]("recipeId"), r.getAs[Int]("lineNo")), r.getAs[Any]("ndbId"), r.getAs[Any]("resolvedUnit"),
-       r.getAs[Any]("grams")).## & 0xffffffffL
-    }.sum
-    (layers, f"$whole%x")
-  }
+  /** Each layer's digest over a run's `perLine` rows, then `perRecipe`'s over every column. */
+  private def layerDigests(run: TestModels.Run): Seq[(String, String)] =
+    Layers.map { case (layer, cols) => layer -> digest(run.perLine.map(r => cols.map(r.getAs[Any])).distinct) } :+
+      ("perRecipe" -> digest(run.perRecipe.map(_.toSeq.map(rounded))))
 
   private def assertLayers(input: String, got: Seq[(String, String)], want: Seq[String]): Unit = {
     assert(got.length == want.length)
     got.zip(want).foreach { case ((layer, d), w) => assert(d == w, s"$input: the $layer layer moved") }
   }
 
-  private def lines(sf: Double, seed: Long): DataFrame =
-    RecipeData.ingredientLines(spark, sf, seed).select("recipeId", "lineNo", "phrase", "servings")
-
   // ---- per-layer digests ---------------------------------------------------
 
   test("SF 0.01 seed 7 with the test model: each layer's digest") {
-    assertLayers("SF 0.01 seed 7", digests(lines(0.01, 7), TestModels.ner)._1,
+    assertLayers("SF 0.01 seed 7", layerDigests(TestModels.sf001),
       Seq("138c9a0ad9d9", "e72022f19a", "138bc877984e", "13842ee20529", "139600d3b6cd", "252b38f1d59"))
   }
 
@@ -85,9 +66,14 @@ class GoldenSpec extends SparkSpec {
       3L -> (Seq("620d6793b31f", "e56d2d4715", "61b91ecfc120", "62353a6a8dbe", "620147100ddd", "b8d359f2109"), "61c0caf91d51"))
     .foreach { case (seed, (want, whole)) =>
       test(s"perfbench corpus seed $seed with the production model: each layer's digest, then perfbench's") {
-        val (layers, gotWhole) = digests(lines(0.05, seed), production)
-        assertLayers(s"corpus seed $seed", layers, want)
-        assert(gotWhole == whole, s"corpus seed $seed: perfbench's whole-line digest moved")
+        val run = TestModels.run(0.05, seed, production)
+        assertLayers(s"corpus seed $seed", layerDigests(run), want)
+        // perfbench's whole-line digest (its `Check.digest`).
+        val got = run.perLine.iterator.map { r =>
+          ((r.getAs[Long]("recipeId"), r.getAs[Int]("lineNo")), r.getAs[Any]("ndbId"), r.getAs[Any]("resolvedUnit"),
+           r.getAs[Any]("grams")).## & 0xffffffffL
+        }.sum
+        assert(f"$got%x" == whole, s"corpus seed $seed: perfbench's whole-line digest moved")
       }
     }
 

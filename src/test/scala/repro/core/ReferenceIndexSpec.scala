@@ -1,31 +1,20 @@
 package repro.core
 
-import scala.util.hashing.MurmurHash3
-
-import org.apache.spark.sql.Row
-
 import repro.{SparkSpec, TestModels}
 import repro.core.JaccardMatcher.{Metric, Modified, Vanilla}
 import repro.core.ReferenceIndex.Candidate
-import repro.data.{RecipeData, UsdaData}
+import repro.data.UsdaData
 import repro.data.UsdaData.UsdaWeight
 
 /** The in-memory reference index: its weight tables, a brute-force check of
-  * its matching, and the per-line output it produces end to end.
+  * its matching over the corpus keys of [[TestModels.sf001]] and the
+  * description windows, and the per-line digest of that run.
   */
 class ReferenceIndexSpec extends SparkSpec {
 
   import spark.implicits._
 
   private def index = ReferenceIndex.usda
-
-  /** Per-line output at SF 0.01 with the shared test model. */
-  private lazy val perLine: Array[Row] =
-    NutritionEstimator.perLine(
-      RecipeData.ingredientLines(spark, sf = 0.01).select("recipeId", "lineNo", "phrase", "servings"),
-      TestModels.ner, UsdaData.foods(spark), UsdaData.weights(spark))
-      .select("recipeId", "lineNo", "ndbId", "resolvedUnit", "grams", "name", "state", "temp", "df")
-      .collect()
 
   // ---- §II-C weight tables ------------------------------------------------
 
@@ -88,20 +77,15 @@ class ReferenceIndexSpec extends SparkSpec {
       .headOption.map(_._4)
   }
 
-  /** The distinct corpus keys, with their entities, and the description windows. */
-  private lazy val matchKeys: Seq[(String, String, String, String)] =
-    (perLine.map(r => (r.getString(5), r.getString(6), r.getString(7), r.getString(8))).toSeq ++
-      TestModels.descriptionWindows).distinct
+  /** The distinct SF 0.01 corpus keys, with their entities, then the description windows. */
+  private lazy val corpusKeys = TestModels.sf001.perLine
+    .map(r => (r.getAs[String]("name"), r.getAs[String]("state"), r.getAs[String]("temp"), r.getAs[String]("df"))).distinct
+  private lazy val matchKeys = (corpusKeys ++ TestModels.descriptionWindows).distinct
 
   test("matchBest equals a brute-force scan of all foods") {
-    val corpusKeys = perLine.map(r => (r.getString(5), r.getString(6), r.getString(7), r.getString(8))).distinct
-    val foodNames = UsdaData.allFoods.flatMap { f =>
-      val ws = f.description.toLowerCase.split("[^a-z]+").filter(_.nonEmpty).toSeq
-      (1 to 3).flatMap(n => ws.sliding(n)).map(n => (n.mkString(" "), "", "", ""))
-    }.distinct
-    val keys = (corpusKeys ++ foodNames).distinct.zipWithIndex.map { case ((n, s, t, d), i) => (i.toLong, n, s, t, d) }
-    assert(corpusKeys.length > 100 && foodNames.length > 1000)
-    val ingredients = keys.toSeq.toDF("ingId", "name", "state", "temp", "df")
+    val keys = matchKeys.zipWithIndex.map { case ((n, s, t, d), i) => (i.toLong, n, s, t, d) }
+    assert(corpusKeys.length > 100 && TestModels.descriptionWindows.length > 1000)
+    val ingredients = keys.toDF("ingId", "name", "state", "temp", "df")
     val reference   = UsdaData.foods(spark).select("ndbId", "description")
     for (metric <- Seq(Modified, Vanilla)) {
       val got = JaccardMatcher.matchBest(ingredients, reference, metric)
@@ -135,14 +119,11 @@ class ReferenceIndexSpec extends SparkSpec {
   // ---- end to end ----------------------------------------------------------
 
   test("per-line output at SF 0.01 is unchanged") {
-    // Order-independent digest of (recipeId, lineNo, ndbId, resolvedUnit,
-    // grams) over every line of SF 0.01 seed 7 with the shared test model.
-    // GoldenSpec digests the same input layer by layer.
-    val digest = perLine.iterator.map { r =>
-      val grams = Option(r.get(4)).map(g => java.lang.Double.doubleToLongBits(g.asInstanceOf[Double]))
-      MurmurHash3.stringHash(Seq(r.get(0), r.get(1), r.get(2), r.get(3), grams).mkString("|")) & 0xffffffffL
-    }.sum
+    // Over every line of SF 0.01 seed 7 with the shared test model; GoldenSpec
+    // digests the same run layer by layer, and ReferencePassSpec pins this
+    // digest on its plain-Scala pass.
+    val perLine = TestModels.sf001.perLine
     assert(perLine.length == 10021)
-    assert(f"$digest%x" == "13938da02b56")
+    assert(TestModels.lineDigest(perLine.map(r => r.getAs[Any](_: String))) == "13938da02b56")
   }
 }

@@ -1,16 +1,14 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.util.hashing.MurmurHash3
 
 import org.apache.spark.sql.Row
 
 import repro.{SparkSpec, TestModels}
-import repro.data.{RecipeData, UsdaData}
 
 /** A plain-Scala reference pass over SF 0.01 seed 7, compared with Spark's
-  * `perLine` and `perRecipe` column by column (differential testing:
-  * McKeeman, *Differential Testing for Software*, 1998).
+  * `perLine` and `perRecipe` rows of [[TestModels.sf001]] column by column
+  * (differential testing: McKeeman, *Differential Testing for Software*, 1998).
   *
   * The loop calls the program's own per-line functions: `extractPhrase` once
   * per distinct phrase, `best` once per distinct ingredient key, `firstPass`,
@@ -22,10 +20,7 @@ import repro.data.{RecipeData, UsdaData}
   */
 class ReferencePassSpec extends SparkSpec {
 
-  import spark.implicits._
-
-  private lazy val lines = RecipeData.ingredientLines(spark, sf = 0.01, seed = 7)
-    .select("recipeId", "lineNo", "phrase", "servings")
+  private def run = TestModels.sf001
 
   private def key(r: Row): (Long, Int) = (r.getAs[Long]("recipeId"), r.getAs[Int]("lineNo"))
 
@@ -43,7 +38,8 @@ class ReferencePassSpec extends SparkSpec {
     val index     = ReferenceIndex.usda
     val extracted = mutable.HashMap.empty[String, NerPipeline.Extracted]
     val matched   = mutable.HashMap.empty[(String, String, String, String), Option[ReferenceIndex.Candidate]]
-    val stage1 = lines.as[(Long, Int, String, Int)].collect().toSeq.map { case (recipeId, lineNo, phrase, servings) =>
+    val stage1 = run.lines.map { l =>
+      val (recipeId, lineNo, phrase, servings) = (l.getLong(0), l.getInt(1), l.getString(2), l.getInt(3))
       val e = extracted.getOrElseUpdate(phrase, NerPipeline.extractPhrase(TestModels.ner, phrase))
       val m = matched.getOrElseUpdate((e.name, e.state, e.temp, e.df),
         index.best(e.name, e.state, e.temp, e.df, JaccardMatcher.Modified))
@@ -63,9 +59,6 @@ class ReferencePassSpec extends SparkSpec {
     }.toMap
   }
 
-  private lazy val perLine   = NutritionEstimator.perLine(lines, TestModels.ner, UsdaData.foods(spark), UsdaData.weights(spark)).cache()
-  private lazy val sparkRows = perLine.collect().toSeq
-
   /** Equal, nulls included; doubles within 1e-9 relative when `tolerant`. */
   private def same(a: Any, b: Any, tolerant: Boolean): Boolean = (a, b) match {
     case (x: Double, y: Double) if tolerant => math.abs(x - y) <= 1e-9 * math.max(math.abs(x), math.abs(y))
@@ -79,10 +72,11 @@ class ReferencePassSpec extends SparkSpec {
       yield (rowKey(r), c, r.getAs[Any](c), want(rowKey(r))(c))
 
   test("every perLine column equals the reference pass's, line by line") {
-    assert(perLine.columns.toSet == local.head._2.keySet, "a perLine column without a stage-record field")
-    assert(perLine.columns.distinct.length == perLine.columns.length)
-    assert(sparkRows.map(key).sorted == local.keys.toSeq.sorted)
-    val bad = diffs(sparkRows, key, local, tolerant = false)
+    val columns = run.perLine.head.schema.fieldNames.toSeq
+    assert(columns.toSet == local.head._2.keySet, "a perLine column without a stage-record field")
+    assert(columns.distinct.length == columns.length)
+    assert(run.perLine.map(key).sorted == local.keys.toSeq.sorted)
+    val bad = diffs(run.perLine, key, local, tolerant = false)
     assert(bad.isEmpty, s"${bad.size} cells differ, e.g. ${bad.take(5)}")
   }
 
@@ -99,8 +93,7 @@ class ReferencePassSpec extends SparkSpec {
         "pctNameMapped" -> n("nameMapped") * 100.0 / ls.size, "pctFullyMapped" -> n("fullyMapped") * 100.0 / ls.size,
         "estKcalPerServing" -> (if (servings > 0) sum("estKcal") / servings else null))
     }
-    val recipes = NutritionEstimator.perRecipe(perLine).collect().toSeq
-    perLine.unpersist()
+    val recipes = run.perRecipe
     assert(recipes.head.schema.fieldNames.toSet == want.head._2.keySet)
     assert(recipes.map(_.getAs[Long]("recipeId")).sorted == want.keys.toSeq.sorted)
     val bad = diffs(recipes, (r: Row) => r.getAs[Long]("recipeId"), want, tolerant = true)
@@ -108,13 +101,8 @@ class ReferencePassSpec extends SparkSpec {
   }
 
   test("the reference pass reproduces the pinned per-line digest 13938da02b56") {
-    // ReferenceIndexSpec's digest of Spark's (recipeId, lineNo, ndbId, resolvedUnit, grams).
-    val digest = local.values.iterator.map { l =>
-      val grams = Option(l("grams")).map(g => java.lang.Double.doubleToLongBits(g.asInstanceOf[Double]))
-      MurmurHash3.stringHash(Seq(l("recipeId"), l("lineNo"), l("ndbId"), l("resolvedUnit"), grams).mkString("|")) &
-        0xffffffffL
-    }.sum
+    // ReferenceIndexSpec pins the same digest on Spark's rows.
     assert(local.size == 10021)
-    assert(f"$digest%x" == "13938da02b56")
+    assert(TestModels.lineDigest(local.values) == "13938da02b56")
   }
 }

@@ -3,7 +3,7 @@ package repro.exp
 import repro.{SparkSpec, TestModels}
 import repro.core.NutritionEstimator
 import repro.data.{RecipeData, UsdaData}
-import repro.jobs.Table3MatchingJob
+import repro.jobs.{Jobs, Table3MatchingJob}
 import repro.nlp.NerModel
 
 /** The experiment layer shared by the jobs and GoldenSpec, at unit-test scale. */
@@ -172,6 +172,17 @@ class ExperimentsSpec extends SparkSpec {
       "| Butter, salted | 3   | 1.0    | cup        | 227.0 | 227.0           |",
       "| Butter, salted | 4   | 1.0    | stick      | 113.0 | 113.0           |").mkString("", "\n", "\n"))
     assert(Experiments.render(Nil) == "")
+  }
+
+  test("render prints Table III's longest description in full") {
+    val giblets = "Chicken, broilers or fryers, meat and skin and giblets and neck, raw"
+    assert(giblets.length == 68 && Experiments.render(Experiments.table3).contains(s" $giblets "))
+  }
+
+  test("the jobs' output stream writes UTF-8") {
+    val bytes = new java.io.ByteArrayOutputStream()
+    Jobs.utf8(bytes).print("§—∅")
+    assert(bytes.toByteArray.toSeq.map(_ & 0xff) == Seq(0xc2, 0xa7, 0xe2, 0x80, 0x94, 0xe2, 0x88, 0x85))
   }
 
   test("estimateCorpus returns one row per recipe") {
