@@ -14,8 +14,12 @@ object Jobs {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-  /** First CLI arg as scale factor, defaulting to 0.1 (bench scale). */
-  def sfArg(args: Array[String]): Double = args.headOption.map(_.toDouble).getOrElse(0.1)
+  /** First CLI arg as scale factor, a finite number above 0, defaulting to 0.1 (bench scale). */
+  def sfArg(args: Array[String]): Double = {
+    val sf = args.headOption.fold(0.1)(_.toDouble)
+    require(sf > 0 && !sf.isInfinite, s"scale factor must be a finite number above 0, got ${args.head}")
+    sf
+  }
 
   /** `stream` as UTF-8 text, flushed at each line. */
   def utf8(stream: OutputStream): PrintStream = new PrintStream(stream, true, "UTF-8")

@@ -125,7 +125,9 @@ object Experiments {
   /** Round half up to 0.01, as Spark's `round(_, 2)` does. */
   private def round2(x: Double): Double = BigDecimal(x).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble
 
-  /** The §III result scalars, computed over a corpus at scale factor `sf`. */
+  /** The §III result scalars and Figure 2, computed over a corpus at scale factor `sf`.
+    * The calorie error and mean gold are None when no recipe is fully mapped.
+    */
   final case class Results(
       nerHoldoutF1: Double,
       nerCvF1s: Seq[Double],
@@ -138,8 +140,11 @@ object Experiments {
       accuracyTopKCorrect: Long,
       nRecipes: Long,
       nFullyMappedRecipes: Long,
-      maePerServingKcal: Double,
-      meanGoldKcalPerServing: Double)
+      fig2: Seq[Fig2Row],
+      meanPctNameMapped: Double,
+      meanPctFullyMapped: Double,
+      maePerServingKcal: Option[Double],
+      meanGoldKcalPerServing: Option[Double])
 
   /** An ingredient key, its match, its lines with a true food, their most frequent one, and a sample hash. */
   final case class IngredientKey(name: String, state: String, temp: String, df: String, ndbId: Option[Long],
@@ -156,7 +161,9 @@ object Experiments {
       .as(Encoders.product[IngredientKey])
   }
 
-  /** The §III scalars at scale factor `sf`, with `ner` as [[trainNer]] returns it (CV re-splits its corpus). */
+  /** The §III scalars and Figure 2 at scale factor `sf`, from one pass with `ner` as
+    * [[trainNer]] returns it (CV re-splits its corpus).
+    */
   def results(spark: SparkSession, sf: Double, ner: (NerModel, Double, Seq[NerTrainer.Labeled]),
               cvFolds: Int = 5, seed: Long = 7): Results = {
     import spark.implicits._
@@ -185,14 +192,18 @@ object Experiments {
     val topK       = keys.filter(_.freq > 0).sortBy(k => (-k.freq, k.name, k.state)).take(5000)
     val accCorrect = topK.count(k => k.ndbId.isDefined && k.ndbId == k.majorityTruth).toLong
 
-    // --- per-serving calorie error on fully-mapped recipes (paper: 36.42) -
+    // --- Figure 2, and the per-serving calorie error on fully-mapped recipes (paper: 36.42)
     val full = $"nFullyMapped" === $"nLines"
-    val row = NutritionEstimator.perRecipe(perLine)
+    val perRecipe = NutritionEstimator.perRecipe(perLine)
       .join(RecipeData.recipes(spark, sf, seed).select("recipeId", "goldKcalPerServing"), "recipeId")
-      .agg(count(lit(1)), count(when(full, 1)),
+      .cache()
+    val figure2 = fig2(perRecipe)
+    val row = perRecipe
+      .agg(count(lit(1)), count(when(full, 1)), avg("pctNameMapped"), avg("pctFullyMapped"),
            avg(when(full, abs($"estKcalPerServing" - $"goldKcalPerServing"))),
            avg(when(full, $"goldKcalPerServing")))
       .collect().head
+    perRecipe.unpersist()
     perLine.unpersist()
 
     Results(
@@ -207,8 +218,11 @@ object Experiments {
       accuracyTopKCorrect = accCorrect,
       nRecipes = row.getLong(0),
       nFullyMappedRecipes = row.getLong(1),
-      maePerServingKcal = row.getDouble(2),
-      meanGoldKcalPerServing = row.getDouble(3))
+      fig2 = figure2,
+      meanPctNameMapped = row.getDouble(2),
+      meanPctFullyMapped = row.getDouble(3),
+      maePerServingKcal = Option(row.get(4)).map(_.asInstanceOf[Double]),
+      meanGoldKcalPerServing = Option(row.get(5)).map(_.asInstanceOf[Double]))
   }
 
   /** The §III result scalars as `ResultsJob` prints them, beside the paper's. */
@@ -221,13 +235,11 @@ object Experiments {
     f"Modified≠vanilla matches:   ${r.divergenceSampled}/${r.divergenceSampleSize}  [227/1000]",
     f"Match accuracy (top-5000):  ${r.accuracyTopKPct}%.1f%% (${r.accuracyTopKCorrect}/${r.accuracyTopK})  [71.6%% (3580/5000)]",
     f"Recipes / fully mapped:     ${r.nRecipes} / ${r.nFullyMappedRecipes}  [118071 / 2482 evaluated]",
-    f"Per-serving calorie MAE:    ${r.maePerServingKcal}%.2f kcal  [36.42]",
-    f"Mean gold kcal/serving:     ${r.meanGoldKcalPerServing}%.1f",
+    s"Per-serving calorie MAE:    ${r.maePerServingKcal.fold("n/a")(m => f"$m%.2f")} kcal  [36.42]",
+    s"Mean gold kcal/serving:     ${r.meanGoldKcalPerServing.fold("n/a")(g => f"$g%.1f")}",
   ).mkString("\n")
 
-  /** Per-recipe estimates at scale `sf` with a freshly trained model —
-    * convenience for Figure 2 and the scaling bench.
-    */
+  /** Per-recipe estimates at scale `sf` with `model`, for the scaling bench and tests. */
   def estimateCorpus(spark: SparkSession, sf: Double, model: NerModel,
                      seed: Long = 7): DataFrame = {
     val lines = RecipeData.ingredientLines(spark, sf, seed)

@@ -2,7 +2,7 @@ package repro.nlp
 
 /** A trained sequence-tagging model: emission weights per (feature, tag) and
   * transition weights per (prevTag, tag). Immutable and serializable so it
-  * can be broadcast into a Spark UDF and applied corpus-wide.
+  * can be captured in a Spark UDF's closure and applied corpus-wide.
   *
   * @param emitW  feature -> per-tag weight array (aligned with NerFeatures.Tags)
   * @param transW (k+1) x k matrix; row k is the start-transition

@@ -11,7 +11,7 @@ import scala.util.Random
   * promote gold features and demote predicted ones. Weight averaging over all
   * update steps gives the regularization CRF training would otherwise supply.
   * Training runs on the driver (the labeled corpus is ~6.6k phrases); the
-  * resulting [[NerModel]] is broadcast and applied corpus-wide as a UDF.
+  * resulting [[NerModel]] is captured in a UDF closure and applied corpus-wide.
   */
 object NerTrainer {
 

@@ -107,9 +107,12 @@ class ExperimentsSpec extends SparkSpec {
       }
   }
 
+  /** A 600-phrase model, for the tiny results runs. */
+  private lazy val ner600 = Experiments.trainNer(spark, 600, 8, 95)
+
   /** Results at (SF 0.001, a 600-phrase model, 2 CV folds, seed 3), and how many persistent RDDs the call added. */
   private lazy val (tiny, tinyPersisted) = {
-    val ner    = Experiments.trainNer(spark, 600, 8, 95)
+    val ner    = ner600
     val before = spark.sparkContext.getPersistentRDDs.size
     val r      = Experiments.results(spark, 0.001, ner, cvFolds = 2, seed = 3)
     (r, spark.sparkContext.getPersistentRDDs.size - before)
@@ -127,8 +130,22 @@ class ExperimentsSpec extends SparkSpec {
     assert(r.accuracyTopK == 305)
     assert(r.accuracyTopKCorrect <= r.accuracyTopK)
     assert((r.nRecipes, r.nFullyMappedRecipes) == (118L, 94L))
-    assert(math.abs(r.maePerServingKcal / 93.2196120384863 - 1) < 1e-9, r.maePerServingKcal)
-    assert(math.abs(r.meanGoldKcalPerServing / 669.8586188366203 - 1) < 1e-9, r.meanGoldKcalPerServing)
+    assert(r.maePerServingKcal.exists(m => math.abs(m / 93.2196120384863 - 1) < 1e-9), r.maePerServingKcal)
+    assert(r.meanGoldKcalPerServing.exists(g => math.abs(g / 669.8586188366203 - 1) < 1e-9), r.meanGoldKcalPerServing)
+    // Figure 2 comes from the same pass: each level covers every recipe, and
+    // its 100 % name+unit bucket is the fully-mapped cohort.
+    r.fig2.groupBy(_.level).foreach { case (level, rows) => assert(rows.map(_.recipes).sum == r.nRecipes, level) }
+    assert(r.fig2.find(b => b.level == "ingredient + unit" && b.bucket == "100").map(_.recipes)
+      .contains(r.nFullyMappedRecipes))
+  }
+
+  test("results reports no calorie error when no recipe is fully mapped") {
+    // SF 0.00001 seed 2 is one recipe, and it is not fully mapped.
+    val r = Experiments.results(spark, 0.00001, ner600, cvFolds = 2, seed = 2)
+    assert((r.nRecipes, r.nFullyMappedRecipes, r.maePerServingKcal, r.meanGoldKcalPerServing) == (1L, 0L, None, None))
+    val lines = Experiments.report(0.00001, r).linesIterator.toSeq
+    assert(lines.length == 10)
+    assert(lines.takeRight(2) == Seq("Per-serving calorie MAE:    n/a kcal  [36.42]", "Mean gold kcal/serving:     n/a"))
   }
 
   test("results leaves at most perLine's own NER cache persisted") {
@@ -183,6 +200,15 @@ class ExperimentsSpec extends SparkSpec {
     val bytes = new java.io.ByteArrayOutputStream()
     Jobs.utf8(bytes).print("§—∅")
     assert(bytes.toByteArray.toSeq.map(_ & 0xff) == Seq(0xc2, 0xa7, 0xe2, 0x80, 0x94, 0xe2, 0x88, 0x85))
+  }
+
+  test("sfArg reads a finite scale factor above 0, and 0.1 when none is given") {
+    assert(Jobs.sfArg(Array.empty) == 0.1)
+    assert(Jobs.sfArg(Array("0.5")) == 0.5)
+    Seq("0", "-1", "NaN", "Infinity").foreach { arg =>
+      val e = intercept[IllegalArgumentException](Jobs.sfArg(Array(arg)))
+      assert(e.getMessage.endsWith(s"got $arg"), e.getMessage)
+    }
   }
 
   test("estimateCorpus returns one row per recipe") {
