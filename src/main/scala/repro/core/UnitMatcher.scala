@@ -82,7 +82,7 @@ object UnitMatcher {
     *                (textual), unit (raw), size (size word or ""), ndbId
     *                (matched food, nullable)
     * @param weights USDA gram-weight table: ndbId, seq, amount, unit, grams
-    * @return name, the other input columns, then [[FirstPass]]'s qty and
+    * @return the input columns in their order, then [[FirstPass]]'s qty and
     *         stdUnit, then every field of [[Resolved]] (the nutrients null
     *         without foods in the index)
     */
@@ -101,11 +101,10 @@ object UnitMatcher {
     // over `name` (mode skips the nulls; ties go to the first unit A–Z).
     val modeUnit = mode(when(col("p1.stdGramsPerUnit").isNotNull, col("p1.stdUnit")), deterministic = true)
       .over(Window.partitionBy("name"))
-    val inputs = col("name") +: lines.columns.filter(_ != "name").map(col)
 
     lines
       .withColumn("p1", firstUdf(col("quantity"), col("unit"), col("size"), col("ndbId")))
       .withColumn("r", finishUdf(col("p1"), col("ndbId"), modeUnit))
-      .select(inputs ++ Seq(col("p1.qty"), col("p1.stdUnit"), col("r.*")): _*)
+      .select(lines.columns.toSeq.map(col) ++ Seq(col("p1.qty"), col("p1.stdUnit"), col("r.*")): _*)
   }
 }

@@ -8,8 +8,8 @@ import repro.data.{RecipeData, UsdaData}
 import repro.nlp._
 
 /** Shared implementations of the paper's evaluation artifacts (Tables I, III,
-  * IV, Figure 2, and the §III result scalars). The jobs (spark-submit) print
-  * them and `GoldenSpec` pins them, so every reported number has exactly one
+  * IV, Figure 2, and the §III result scalars). `ResultsJob` prints them and
+  * `GoldenSpec` pins them, so every reported number has exactly one
   * definition.
   */
 object Experiments {
@@ -88,6 +88,10 @@ object Experiments {
       Table3Row(n, s, best(n, s, JaccardMatcher.Modified), paperMod, best(n, s, JaccardMatcher.Vanilla), paperVan)
     }
   }
+
+  /** Rows of [[table3]] whose modified and whose vanilla match equal the paper's. */
+  def agreement(table: Seq[Table3Row]): (Int, Int) =
+    (table.count(r => r.modifiedJI == r.paperModifiedJI), table.count(r => r.vanillaJI == r.paperVanillaJI))
 
   /** One row of Table IV: a cleaned weight row of a food. */
   final case class Table4Row(ingredient: String, seq: Int, amount: Double, unit: String, grams: Double,
@@ -225,9 +229,15 @@ object Experiments {
       meanGoldKcalPerServing = Option(row.get(5)).map(_.asInstanceOf[Double]))
   }
 
+  /** `x` as `Double.toString` prints it, but never in E notation: 1.0E-5 prints as 0.00001. */
+  def plain(x: Double): String = {
+    val s = BigDecimal(x).bigDecimal.stripTrailingZeros.toPlainString
+    if (s.contains('.')) s else s + ".0"
+  }
+
   /** The §III result scalars as `ResultsJob` prints them, beside the paper's. */
   def report(sf: Double, r: Results): String = Seq(
-    s"RESULTS (§III) at SF=$sf — paper value in [brackets]",
+    s"RESULTS (§III) at SF=${plain(sf)} — paper value in [brackets]",
     f"NER held-out F1:            ${r.nerHoldoutF1}%.4f  [0.95]",
     f"NER ${r.nerCvF1s.size}-fold CV mean F1:      ${r.nerCvF1s.sum / r.nerCvF1s.size}%.4f  [0.95]  folds=${r.nerCvF1s.map(f => f"$f%.3f").mkString(",")}",
     f"Unique ingredients:         ${r.nUniqueIngredients}",

@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.jobs.Jobs
 
 /** Base for every test: one local-mode SparkSession for the whole run,
-  * started by the same bootstrap as the jobs and the benchmark
+  * started by the same bootstrap as `ResultsJob` and the benchmark
   * ([[repro.jobs.Jobs.session]]).
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from

@@ -19,7 +19,7 @@ object TestModels {
   }
 
   /** The production model, its holdout F1 and its labeled corpus: `trainNer` at the
-    * paper's 8800 phrases (6612 + 2188), as the jobs and the benchmark train it.
+    * paper's 8800 phrases (6612 + 2188), as `ResultsJob` and the benchmark train it.
     */
   lazy val production: (NerModel, Double, Seq[NerTrainer.Labeled]) =
     Experiments.trainNer(SparkSpec.shared, nPhrases = 8800, epochs = 8, seed = 99)

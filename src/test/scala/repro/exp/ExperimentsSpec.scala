@@ -3,10 +3,10 @@ package repro.exp
 import repro.{SparkSpec, TestModels}
 import repro.core.NutritionEstimator
 import repro.data.{RecipeData, UsdaData}
-import repro.jobs.{Jobs, Table3MatchingJob}
+import repro.jobs.Jobs
 import repro.nlp.NerModel
 
-/** The experiment layer shared by the jobs and GoldenSpec, at unit-test scale. */
+/** The experiment layer shared by `ResultsJob` and GoldenSpec, at unit-test scale. */
 class ExperimentsSpec extends SparkSpec {
 
   import spark.implicits._
@@ -32,8 +32,8 @@ class ExperimentsSpec extends SparkSpec {
       ("chicken with giblets", "", "Chicken, broilers or fryers, meat and skin and giblets and neck, raw",
        "Chicken, broilers or fryers, meat and skin and giblets and neck, raw"),
       ("sesame seeds", "", "Seeds, sesame seeds, whole, dried", "Seeds, sesame seeds, whole, dried")))
-    // Rows agreeing with the paper's modified and vanilla columns, as Table3MatchingJob prints them.
-    assert(Table3MatchingJob.agreement(t3) == (7L, 4L))
+    // Rows agreeing with the paper's modified and vanilla columns, as ResultsJob prints them.
+    assert(Experiments.agreement(t3) == (7L, 4L))
   }
 
   test("table4 is the cleaned butter weight table") {
@@ -81,8 +81,11 @@ class ExperimentsSpec extends SparkSpec {
     perRecipe.unpersist()
   }
 
+  /** The 600-phrase, 4-epoch model that the trainNer tests read. */
+  private lazy val ner600e4 = Experiments.trainNer(spark, nPhrases = 600, epochs = 4, seed = 5)
+
   test("trainNer returns a usable model and sane holdout F1") {
-    val (model, f1, corpus) = Experiments.trainNer(spark, nPhrases = 600, epochs = 4, seed = 5)
+    val (model, f1, corpus) = ner600e4
     assert(corpus.size == 600)
     assert(f1 > 0.80 && f1 <= 1.0, s"holdout F1 $f1")
     assert(model.tag(IndexedSeq("2", "cups", "milk")).head == "QUANTITY")
@@ -99,7 +102,7 @@ class ExperimentsSpec extends SparkSpec {
       (m.emitW.toSeq.sortBy(_._1).map { case (f, w) => (f, w.toSeq) }, m.transW.toSeq.map(_.toSeq)).##
     // The last value hashes the model's tags over its whole labeled corpus,
     // which pins inference as well as the training decode.
-    Seq(("trainNer(600, 4, 5)", () => Experiments.trainNer(spark, 600, 4, 5L), -976154283, 0.9948630136986302, -1753535866),
+    Seq(("trainNer(600, 4, 5)", () => ner600e4, -976154283, 0.9948630136986302, -1753535866),
         ("trainNer(8800, 8, 99)", () => TestModels.production, 1054895373, 0.9990843538972187, -905064210))
       .foreach { case (call, trained, fp, f1, tagged) =>
         val (model, holdoutF1, corpus) = trained()
@@ -145,6 +148,7 @@ class ExperimentsSpec extends SparkSpec {
     assert((r.nRecipes, r.nFullyMappedRecipes, r.maePerServingKcal, r.meanGoldKcalPerServing) == (1L, 0L, None, None))
     val lines = Experiments.report(0.00001, r).linesIterator.toSeq
     assert(lines.length == 10)
+    assert(lines.head == "RESULTS (§III) at SF=0.00001 — paper value in [brackets]")
     assert(lines.takeRight(2) == Seq("Per-serving calorie MAE:    n/a kcal  [36.42]", "Mean gold kcal/serving:     n/a"))
   }
 
@@ -180,7 +184,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("render produces an aligned text table") {
-    // Table4UnitsJob's printed table, byte for byte.
+    // ResultsJob's printed Table IV, byte for byte.
     assert(Experiments.render(Experiments.table4) == Seq(
       "| ingredient     | seq | amount | unit       | grams | gram_per_amount |",
       "| -------------- | --- | ------ | ---------- | ----- | --------------- |",
@@ -205,7 +209,7 @@ class ExperimentsSpec extends SparkSpec {
   test("sfArg reads a finite scale factor above 0, and 0.1 when none is given") {
     assert(Jobs.sfArg(Array.empty) == 0.1)
     assert(Jobs.sfArg(Array("0.5")) == 0.5)
-    Seq("0", "-1", "NaN", "Infinity").foreach { arg =>
+    Seq("0", "-1", "NaN", "Infinity", "abc", "").foreach { arg =>
       val e = intercept[IllegalArgumentException](Jobs.sfArg(Array(arg)))
       assert(e.getMessage.endsWith(s"got $arg"), e.getMessage)
     }
